@@ -17,7 +17,9 @@ using namespace dampi;
 namespace {
 
 std::string count_str(std::uint64_t n, bool capped) {
-  return capped ? (">" + std::to_string(n)) : std::to_string(n);
+  std::string out = capped ? ">" : "";
+  out += std::to_string(n);
+  return out;
 }
 
 }  // namespace

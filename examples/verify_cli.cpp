@@ -737,7 +737,9 @@ int main(int argc, char** argv) {
     dist_error = dist_result.error;
     dist_stats = dist_result.stats;
     for (const auto& [wid, dump] : dist_result.worker_metrics) {
-      obs::Registry::instance().merge_dump(dump, "w" + std::to_string(wid));
+      std::string prefix = "w";
+      prefix += std::to_string(wid);
+      obs::Registry::instance().merge_dump(dump, prefix);
     }
     result.exploration = std::move(dist_result.exploration);
     result.instrumented_vtime_us = result.exploration.first_run_vtime_us;

@@ -11,7 +11,7 @@
 # jobs widths, and a SIGINT kill + --resume determinism smoke), a trace
 # smoke test (a real workload exported with --trace
 # must validate under trace_check), a DAMPI_TRACE=OFF configure+build
-# check, a warn-only matcher perf smoke (bench_compare.py), a
+# check, a Release (-O3) configure+build check, a warn-only matcher perf smoke (bench_compare.py), a
 # fault-sweep stage (sweep-labelled tests, the --sweep-faults exit-code
 # contract, a SIGINT kill + --resume byte-identity smoke, and the
 # bench_sweep worker-count determinism check), then the
@@ -211,6 +211,13 @@ rm -f "${trace_out}"
 cmake -B build-off -S . -DDAMPI_TRACE=OFF
 cmake --build build-off -j "${jobs}" --target verify_cli trace_check
 echo "tier1: DAMPI_TRACE=OFF build OK"
+
+# Every target must also build at -O3 (Release): GCC's deeper inlining
+# there raises -Werror diagnostics (e.g. -Wrestrict on string
+# concatenation) that the default RelWithDebInfo build never sees.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "${jobs}"
+echo "tier1: Release build OK"
 
 # Perf smoke: the indexed matcher (the default) must not lose to the
 # linear oracle on the engine-path microbenchmarks. Warn-only — shared

@@ -1,8 +1,13 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "common/strutil.hpp"
 #include "core/decision_io.hpp"
@@ -31,9 +36,33 @@ using dampi::escape_line;
 using dampi::unescape_line;
 
 /// The remainder of `line` after the leading keyword and one space.
-std::string rest_of_line(const std::string& line, std::size_t keyword_len) {
+std::string rest_of_line(std::string_view line, std::size_t keyword_len) {
   if (line.size() <= keyword_len + 1) return "";
-  return line.substr(keyword_len + 1);
+  return std::string(line.substr(keyword_len + 1));
+}
+
+// --- Writing -----------------------------------------------------------------
+//
+// A wide journal holds hundreds of thousands of numbers (a 512-rank
+// frontier carries a vector clock per frame), so the writer appends
+// decimal digits straight into one string with std::to_chars instead of
+// formatting each number into a temporary; the text is exactly what
+// "%d"/"%llu"/"%zu" print.
+
+/// " <value>": the unit every field after a line's keyword is made of.
+template <typename T>
+void put_field(std::string& out, T value) {
+  char buf[24];
+  buf[0] = ' ';
+  const auto res = std::to_chars(buf + 1, buf + sizeof(buf), value);
+  out.append(buf, res.ptr);
+}
+
+/// " <count> v0 .. vN-1".
+template <typename Range>
+void put_list(std::string& out, const Range& values) {
+  put_field(out, values.size());
+  for (const auto v : values) put_field(out, v);
 }
 
 /// One frame line under `keyword` ("frame" for the live stack, "pframe"
@@ -44,111 +73,175 @@ std::string rest_of_line(const std::string& line, std::size_t keyword_len) {
 ///   z N r0..rN-1        sleep set
 ///   f comm tag          decision footprint channel
 ///   v N c0..cN-1        vector timestamp at epoch open
-std::string serialize_frame(const DfsFrame& frame, const char* keyword) {
-  std::string out =
-      strfmt("%s %d %llu %llu %d %d %d u %zu", keyword, frame.key.rank,
-             static_cast<unsigned long long>(frame.key.nd_index),
-             static_cast<unsigned long long>(frame.lc), frame.taken_src,
-             frame.record_alts ? 1 : 0, frame.mix_budget,
-             frame.untried.size());
-  for (const mpism::Rank src : frame.untried) {
-    out += strfmt(" %d", src);
-  }
-  out += strfmt(" s %zu", frame.seen.size());
-  for (const mpism::Rank src : frame.seen) {
-    out += strfmt(" %d", src);
-  }
+void serialize_frame(const DfsFrame& frame, const char* keyword,
+                     std::string& out) {
+  out += keyword;
+  put_field(out, frame.key.rank);
+  put_field(out, frame.key.nd_index);
+  put_field(out, frame.lc);
+  put_field(out, frame.taken_src);
+  put_field(out, frame.record_alts ? 1 : 0);
+  put_field(out, frame.mix_budget);
+  out += " u";
+  put_list(out, frame.untried);
+  out += " s";
+  put_list(out, frame.seen);
   if (frame.escape_alts) out += " e 1";
   if (!frame.sleep.empty()) {
-    out += strfmt(" z %zu", frame.sleep.size());
-    for (const mpism::Rank src : frame.sleep) {
-      out += strfmt(" %d", src);
-    }
+    out += " z";
+    put_list(out, frame.sleep);
   }
   if (frame.comm != mpism::kCommWorld || frame.tag != mpism::kAnyTag) {
-    out += strfmt(" f %d %d", frame.comm, frame.tag);
+    out += " f";
+    put_field(out, frame.comm);
+    put_field(out, frame.tag);
   }
   if (!frame.vc.empty()) {
-    out += strfmt(" v %zu", frame.vc.size());
-    for (const std::uint64_t c : frame.vc) {
-      out += strfmt(" %llu", static_cast<unsigned long long>(c));
-    }
+    out += " v";
+    put_list(out, frame.vc);
   }
   out += '\n';
-  return out;
+}
+
+// --- Reading -----------------------------------------------------------------
+
+/// Cursor over one line with the extraction grammar of an istringstream
+/// (`ls >> x`): skip whitespace, then take the next token, or the longest
+/// decimal prefix with an optional sign. As with the stream, an unsigned
+/// field accepts '-' and wraps, and an out-of-range value fails.
+class Fields {
+ public:
+  explicit Fields(std::string_view line) : s_(line) {}
+
+  bool word(std::string_view* out) {
+    skip_space();
+    std::size_t end = pos_;
+    while (end < s_.size() && !is_space(s_[end])) ++end;
+    if (end == pos_) return false;
+    *out = s_.substr(pos_, end - pos_);
+    pos_ = end;
+    return true;
+  }
+
+  template <typename T>
+  bool num(T* out) {
+    skip_space();
+    const char* p = s_.data() + pos_;
+    const char* const end = s_.data() + s_.size();
+    bool negative = false;
+    if (p != end && (*p == '+' || *p == '-')) negative = *p++ == '-';
+    std::uint64_t magnitude = 0;
+    const auto res = std::from_chars(p, end, magnitude);
+    if (res.ec != std::errc{}) return false;
+    using U = std::make_unsigned_t<T>;
+    std::uint64_t limit = std::numeric_limits<T>::max();
+    if (std::is_signed_v<T> && negative) ++limit;
+    if (magnitude > limit) return false;
+    // Two's-complement negation: -magnitude for a signed field, the
+    // stream's wrap-around for an unsigned one.
+    const U bits = static_cast<U>(negative ? 0 - magnitude : magnitude);
+    *out = static_cast<T>(bits);
+    pos_ = static_cast<std::size_t>(res.ptr - s_.data());
+    return true;
+  }
+
+  /// What `std::getline(ls, rest)` returns: everything not yet consumed.
+  std::string_view rest() const { return s_.substr(pos_); }
+
+ private:
+  static bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+  }
+  void skip_space() {
+    while (pos_ < s_.size() && is_space(s_[pos_])) ++pos_;
+  }
+
+  std::string_view s_;
+  std::size_t pos_ = 0;
+};
+
+/// Reads " <count> v0 .. vN-1" into `add`; false (with `truncated` as the
+/// error) when an element is missing.
+template <typename T, typename Add>
+bool parse_elements(Fields& ls, std::size_t count, Add add,
+                    const char* truncated, std::string* error) {
+  for (std::size_t i = 0; i < count; ++i) {
+    T value{};
+    if (!ls.num(&value)) {
+      *error = truncated;
+      return false;
+    }
+    add(value);
+  }
+  return true;
 }
 
 /// Inverse of serialize_frame (past the keyword). Absent trailers parse
 /// to their defaults, so older journals load unchanged.
-bool parse_frame(std::istringstream& ls, DfsFrame* frame,
-                 std::string* error) {
+bool parse_frame(Fields& ls, DfsFrame* frame, std::string* error) {
   int record_alts = 0;
-  std::string marker;
+  std::string_view marker;
   std::size_t count = 0;
-  if (!(ls >> frame->key.rank >> frame->key.nd_index >> frame->lc >>
-        frame->taken_src >> record_alts >> frame->mix_budget >> marker >>
-        count) ||
+  if (!(ls.num(&frame->key.rank) && ls.num(&frame->key.nd_index) &&
+        ls.num(&frame->lc) && ls.num(&frame->taken_src) &&
+        ls.num(&record_alts) && ls.num(&frame->mix_budget) &&
+        ls.word(&marker) && ls.num(&count)) ||
       marker != "u") {
     *error = "bad frame line";
     return false;
   }
   frame->record_alts = record_alts != 0;
-  frame->untried.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!(ls >> frame->untried[i])) {
-      *error = "truncated untried list";
-      return false;
-    }
+  // Capped by the line length: a corrupt count must fail as a truncated
+  // list, not as an allocation.
+  frame->untried.reserve(std::min(count, ls.rest().size()));
+  if (!parse_elements<mpism::Rank>(
+          ls, count, [&](mpism::Rank r) { frame->untried.push_back(r); },
+          "truncated untried list", error)) {
+    return false;
   }
-  if (!(ls >> marker >> count) || marker != "s") {
+  if (!(ls.word(&marker) && ls.num(&count)) || marker != "s") {
     *error = "bad seen list";
     return false;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    mpism::Rank src = -1;
-    if (!(ls >> src)) {
-      *error = "truncated seen list";
-      return false;
-    }
-    frame->seen.insert(src);
+  if (!parse_elements<mpism::Rank>(
+          ls, count, [&](mpism::Rank r) { frame->seen.insert(r); },
+          "truncated seen list", error)) {
+    return false;
   }
-  while (ls >> marker) {
+  while (ls.word(&marker)) {
     if (marker == "e") {
       int escape = 0;
-      if (!(ls >> escape)) {
+      if (!ls.num(&escape)) {
         *error = "bad frame trailer";
         return false;
       }
       frame->escape_alts = escape != 0;
     } else if (marker == "z") {
-      if (!(ls >> count)) {
+      if (!ls.num(&count)) {
         *error = "bad sleep list";
         return false;
       }
-      for (std::size_t i = 0; i < count; ++i) {
-        mpism::Rank src = -1;
-        if (!(ls >> src)) {
-          *error = "truncated sleep list";
-          return false;
-        }
-        frame->sleep.insert(src);
+      if (!parse_elements<mpism::Rank>(
+              ls, count, [&](mpism::Rank r) { frame->sleep.insert(r); },
+              "truncated sleep list", error)) {
+        return false;
       }
     } else if (marker == "f") {
-      if (!(ls >> frame->comm >> frame->tag)) {
+      if (!(ls.num(&frame->comm) && ls.num(&frame->tag))) {
         *error = "bad footprint trailer";
         return false;
       }
     } else if (marker == "v") {
-      if (!(ls >> count)) {
+      if (!ls.num(&count)) {
         *error = "bad vector-clock trailer";
         return false;
       }
-      frame->vc.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        if (!(ls >> frame->vc[i])) {
-          *error = "truncated vector-clock trailer";
-          return false;
-        }
+      frame->vc.reserve(std::min(count, ls.rest().size()));
+      if (!parse_elements<std::uint64_t>(
+              ls, count, [&](std::uint64_t c) { frame->vc.push_back(c); },
+              "truncated vector-clock trailer", error)) {
+        return false;
       }
     } else {
       *error = "bad frame trailer";
@@ -190,44 +283,60 @@ std::string options_fingerprint(const ExplorerOptions& options) {
 }
 
 std::string serialize_checkpoint(const Checkpoint& checkpoint) {
+  // No up-front reserve: a size bound must assume 20 digits per number
+  // and over-allocates about 5x on real journals, for about 4% less
+  // time than the string's own geometric growth.
   std::string out = kCheckpointHeader;
   out += '\n';
-  out += "options " + checkpoint.fingerprint + '\n';
-  out += strfmt("interleavings %llu\n",
-                static_cast<unsigned long long>(checkpoint.interleavings));
-  out += strfmt("counters %llu %llu %llu %llu %llu\n",
-                static_cast<unsigned long long>(checkpoint.retries),
-                static_cast<unsigned long long>(checkpoint.timeouts),
-                static_cast<unsigned long long>(checkpoint.quarantined),
-                static_cast<unsigned long long>(checkpoint.divergences),
-                static_cast<unsigned long long>(checkpoint.prefix_mismatches));
+  out += "options ";
+  out += checkpoint.fingerprint;
+  out += "\ninterleavings";
+  put_field(out, checkpoint.interleavings);
+  out += "\ncounters";
+  put_field(out, checkpoint.retries);
+  put_field(out, checkpoint.timeouts);
+  put_field(out, checkpoint.quarantined);
+  put_field(out, checkpoint.divergences);
+  put_field(out, checkpoint.prefix_mismatches);
+  out += '\n';
   if (!checkpoint.fault_fires.empty()) {
-    out += strfmt("ffires %zu", checkpoint.fault_fires.size());
-    for (const std::uint64_t f : checkpoint.fault_fires) {
-      out += strfmt(" %llu", static_cast<unsigned long long>(f));
-    }
+    out += "ffires";
+    put_list(out, checkpoint.fault_fires);
     out += '\n';
   }
   for (const DfsFrame& frame : checkpoint.frames) {
-    out += serialize_frame(frame, "frame");
+    serialize_frame(frame, "frame", out);
   }
   for (const DfsFrame& frame : checkpoint.pending_sleep) {
-    out += serialize_frame(frame, "pframe");
+    serialize_frame(frame, "pframe", out);
   }
   for (const BugRecord& bug : checkpoint.bugs) {
-    out += strfmt("bug %d %llu\n", static_cast<int>(bug.kind),
-                  static_cast<unsigned long long>(bug.interleaving));
+    out += "bug";
+    put_field(out, static_cast<int>(bug.kind));
+    put_field(out, bug.interleaving);
+    out += '\n';
     for (const mpism::ErrorInfo& err : bug.errors) {
-      out += strfmt("berr %d %s\n", err.rank, escape_line(err.message).c_str());
+      out += "berr";
+      put_field(out, err.rank);
+      out += ' ';
+      out += escape_line(err.message);
+      out += '\n';
     }
-    out += "bdetail " + escape_line(bug.deadlock_detail) + '\n';
+    out += "bdetail ";
+    out += escape_line(bug.deadlock_detail);
+    out += '\n';
     for (const auto& [key, src] : bug.schedule.forced) {
-      out += strfmt("bdec %d %llu %d\n", key.rank,
-                    static_cast<unsigned long long>(key.nd_index), src);
+      out += "bdec";
+      put_field(out, key.rank);
+      put_field(out, key.nd_index);
+      put_field(out, src);
+      out += '\n';
     }
   }
   for (const std::string& alert : checkpoint.unsafe_alerts) {
-    out += "alert " + escape_line(alert) + '\n';
+    out += "alert ";
+    out += escape_line(alert);
+    out += '\n';
   }
   out += "end\n";
   return out;
@@ -242,18 +351,22 @@ std::optional<Checkpoint> parse_checkpoint(
   };
 
   Checkpoint cp;
-  std::istringstream in(text);
-  std::string line;
   int line_no = 0;
   bool saw_header = false;
   bool saw_options = false;
   bool saw_end = false;
   BugRecord* open_bug = nullptr;
 
-  while (std::getline(in, line)) {
+  // Line views in std::getline's sense: split at '\n', and a final
+  // newline does not start another line.
+  for (std::size_t at = 0; at < text.size();) {
+    std::size_t eol = text.find('\n', at);
+    if (eol == std::string::npos) eol = text.size();
+    std::string_view line(text.data() + at, eol - at);
+    at = eol + 1;
     ++line_no;
     while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.pop_back();
+      line.remove_suffix(1);
     }
     if (line.empty()) continue;
     if (saw_end) {
@@ -272,9 +385,9 @@ std::optional<Checkpoint> parse_checkpoint(
     }
     if (line[0] == '#') continue;
 
-    std::istringstream ls(line);
-    std::string keyword;
-    ls >> keyword;
+    Fields ls(line);
+    std::string_view keyword;
+    ls.word(&keyword);
 
     if (keyword == "options") {
       cp.fingerprint = rest_of_line(line, keyword.size());
@@ -287,24 +400,27 @@ std::optional<Checkpoint> parse_checkpoint(
       }
       saw_options = true;
     } else if (keyword == "interleavings") {
-      if (!(ls >> cp.interleavings)) {
+      if (!ls.num(&cp.interleavings)) {
         return fail(strfmt("line %d: bad interleavings count", line_no));
       }
     } else if (keyword == "counters") {
-      if (!(ls >> cp.retries >> cp.timeouts >> cp.quarantined >>
-            cp.divergences >> cp.prefix_mismatches)) {
+      if (!(ls.num(&cp.retries) && ls.num(&cp.timeouts) &&
+            ls.num(&cp.quarantined) && ls.num(&cp.divergences) &&
+            ls.num(&cp.prefix_mismatches))) {
         return fail(strfmt("line %d: bad counters line", line_no));
       }
     } else if (keyword == "ffires") {
       std::size_t count = 0;
-      if (!(ls >> count)) {
+      if (!ls.num(&count)) {
         return fail(strfmt("line %d: bad ffires line", line_no));
       }
-      cp.fault_fires.resize(count);
+      cp.fault_fires.reserve(std::min(count, ls.rest().size()));
       for (std::size_t i = 0; i < count; ++i) {
-        if (!(ls >> cp.fault_fires[i])) {
+        std::uint64_t fires = 0;
+        if (!ls.num(&fires)) {
           return fail(strfmt("line %d: truncated ffires line", line_no));
         }
+        cp.fault_fires.push_back(fires);
       }
     } else if (keyword == "frame" || keyword == "pframe") {
       DfsFrame frame;
@@ -318,7 +434,7 @@ std::optional<Checkpoint> parse_checkpoint(
     } else if (keyword == "bug") {
       BugRecord bug;
       int kind = 0;
-      if (!(ls >> kind >> bug.interleaving) || kind < 0 ||
+      if (!(ls.num(&kind) && ls.num(&bug.interleaving)) || kind < 0 ||
           kind > static_cast<int>(BugRecord::Kind::kHang)) {
         return fail(strfmt("line %d: bad bug line", line_no));
       }
@@ -327,13 +443,12 @@ std::optional<Checkpoint> parse_checkpoint(
       open_bug = &cp.bugs.back();
     } else if (keyword == "berr") {
       mpism::ErrorInfo err;
-      if (open_bug == nullptr || !(ls >> err.rank)) {
+      if (open_bug == nullptr || !ls.num(&err.rank)) {
         return fail(strfmt("line %d: berr outside a bug block", line_no));
       }
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest[0] == ' ') rest.erase(0, 1);
-      err.message = unescape_line(rest);
+      std::string_view rest = ls.rest();
+      if (!rest.empty() && rest[0] == ' ') rest.remove_prefix(1);
+      err.message = unescape_line(std::string(rest));
       open_bug->errors.push_back(std::move(err));
     } else if (keyword == "bdetail") {
       if (open_bug == nullptr) {
@@ -344,7 +459,7 @@ std::optional<Checkpoint> parse_checkpoint(
       EpochKey key;
       mpism::Rank src = -1;
       if (open_bug == nullptr ||
-          !(ls >> key.rank >> key.nd_index >> src)) {
+          !(ls.num(&key.rank) && ls.num(&key.nd_index) && ls.num(&src))) {
         return fail(strfmt("line %d: bdec outside a bug block", line_no));
       }
       open_bug->schedule.forced[key] = src;
@@ -355,7 +470,7 @@ std::optional<Checkpoint> parse_checkpoint(
       saw_end = true;
     } else {
       return fail(strfmt("line %d: unknown keyword '%s'", line_no,
-                         keyword.c_str()));
+                         std::string(keyword).c_str()));
     }
   }
   if (!saw_header) {
@@ -371,13 +486,13 @@ std::optional<Checkpoint> parse_checkpoint(
 }
 
 bool save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
+  const std::string text = serialize_checkpoint(checkpoint);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << serialize_checkpoint(checkpoint);
-    if (!out) return false;
-  }
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (out == nullptr) return false;
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), out) == text.size();
+  if (std::fclose(out) != 0 || !written) return false;
   // rename(2) is atomic within a filesystem: readers see either the old
   // complete checkpoint or the new one, never a torn write.
   return std::rename(tmp.c_str(), path.c_str()) == 0;
@@ -386,14 +501,14 @@ bool save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
 std::optional<Checkpoint> load_checkpoint(
     const std::string& path, const std::string& expected_fingerprint,
     std::string* error) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     if (error != nullptr) *error = "cannot open " + path;
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_checkpoint(buffer.str(), expected_fingerprint, error);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  return parse_checkpoint(text, expected_fingerprint, error);
 }
 
 }  // namespace dampi::core

@@ -1,5 +1,6 @@
 #include "core/clock_state.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -9,8 +10,10 @@ namespace {
 
 using VcValue = clocks::VectorClock::Value;
 
-std::vector<VcValue> decode_vc(const mpism::Bytes& bytes) {
-  return mpism::unpack_vec<VcValue>(bytes);
+VcValue load_component(const mpism::Bytes& bytes, std::size_t i) {
+  VcValue v;
+  std::memcpy(&v, bytes.data() + i * sizeof(VcValue), sizeof(VcValue));
+  return v;
 }
 
 }  // namespace
@@ -25,19 +28,31 @@ void ClockState::tick() {
   vector_.tick();
 }
 
-void ClockState::merge(const mpism::Bytes& remote) {
+void ClockState::decode(const mpism::Bytes& remote, MsgClock* out) const {
+  out->empty_ = remote.empty();
+  if (out->empty_) return;
+  if (mode_ == ClockMode::kLamport) {
+    out->lc_ = mpism::unpack<std::uint64_t>(remote);
+    return;
+  }
+  DAMPI_CHECK_MSG(remote.size() % sizeof(VcValue) == 0,
+                  "payload size mismatch");
+  out->vc_.resize(remote.size() / sizeof(VcValue));
+  std::memcpy(out->vc_.data(), remote.data(), remote.size());
+}
+
+void ClockState::merge(const MsgClock& remote) {
   if (remote.empty()) return;
   if (mode_ == ClockMode::kLamport) {
-    lamport_.merge(mpism::unpack<std::uint64_t>(remote));
+    lamport_.merge(remote.lc_);
   } else {
-    const auto components = decode_vc(remote);
-    vector_.merge(components);
+    vector_.merge(remote.vc_);
     // Keep the scalar view consistent: the Lamport analogue of a vector
     // merge is max over the remote's own-entries... a scalar max over the
     // sum is not meaningful, so track the max component instead, which
     // preserves per-rank monotonicity for trace ordering.
     std::uint64_t max_c = 0;
-    for (VcValue v : components) max_c = std::max(max_c, v);
+    for (VcValue v : remote.vc_) max_c = std::max(max_c, v);
     lamport_.merge(max_c);
   }
 }
@@ -63,26 +78,22 @@ void ClockState::serialize_into(mpism::Bytes* out) const {
   }
 }
 
-bool ClockState::is_late(
-    const mpism::Bytes& msg_clock, std::uint64_t epoch_lc,
-    const std::vector<VcValue>& epoch_vc) const {
-  if (msg_clock.empty()) return false;
-  if (mode_ == ClockMode::kLamport) {
-    return mpism::unpack<std::uint64_t>(msg_clock) < epoch_lc;
-  }
-  return clocks::VectorClock::not_after(decode_vc(msg_clock), epoch_vc);
+bool ClockState::is_late(const MsgClock& msg_clock, std::uint64_t epoch_lc,
+                         const std::vector<VcValue>& epoch_vc) const {
+  return !is_after(msg_clock, epoch_lc, epoch_vc);
 }
 
-bool ClockState::is_after(
-    const mpism::Bytes& msg_clock, std::uint64_t epoch_lc,
-    const std::vector<VcValue>& epoch_vc) const {
+bool ClockState::is_after(const MsgClock& msg_clock, std::uint64_t epoch_lc,
+                          const std::vector<VcValue>& epoch_vc) const {
   if (msg_clock.empty()) return true;
-  if (mode_ == ClockMode::kLamport) {
-    return mpism::unpack<std::uint64_t>(msg_clock) >= epoch_lc;
+  if (mode_ == ClockMode::kLamport) return msg_clock.lc_ >= epoch_lc;
+  // Causally after or equal: no component behind the epoch's.
+  const std::vector<VcValue>& msg = msg_clock.vc_;
+  DAMPI_CHECK(msg.size() == epoch_vc.size());
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    if (msg[i] < epoch_vc[i]) return false;
   }
-  const auto o =
-      clocks::VectorClock::compare(decode_vc(msg_clock), epoch_vc);
-  return o == clocks::Ordering::kAfter || o == clocks::Ordering::kEqual;
+  return true;
 }
 
 void ClockState::merge_epoch(
@@ -101,15 +112,23 @@ mpism::Bytes ClockState::merge_serialized(
     }
     return mpism::pack(best);
   }
-  auto merged = decode_vc(all[0]);
+  // Component-wise max straight over the serialized bytes: one copy of
+  // the first clock, no decoded vectors.
+  DAMPI_CHECK_MSG(all[0].size() % sizeof(VcValue) == 0,
+                  "payload size mismatch");
+  mpism::Bytes merged = all[0];
+  const std::size_t n = merged.size() / sizeof(VcValue);
   for (std::size_t i = 1; i < all.size(); ++i) {
-    const auto other = decode_vc(all[i]);
-    DAMPI_CHECK(other.size() == merged.size());
-    for (std::size_t k = 0; k < merged.size(); ++k) {
-      merged[k] = std::max(merged[k], other[k]);
+    DAMPI_CHECK(all[i].size() == merged.size());
+    for (std::size_t k = 0; k < n; ++k) {
+      const VcValue other = load_component(all[i], k);
+      if (other > load_component(merged, k)) {
+        std::memcpy(merged.data() + k * sizeof(VcValue), &other,
+                    sizeof(VcValue));
+      }
     }
   }
-  return mpism::pack_vec(merged);
+  return merged;
 }
 
 }  // namespace dampi::core

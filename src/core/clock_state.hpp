@@ -13,14 +13,33 @@
 
 namespace dampi::core {
 
+/// A serialized message clock, decoded once per completion by
+/// ClockState::decode and then compared against every open epoch and
+/// merged in place. Owned by the caller and reused across completions,
+/// so its buffer stops allocating once it has held one full clock.
+class MsgClock {
+ public:
+  /// True for a message that carried no clock (it predates
+  /// instrumentation, e.g. in tests): never late, merges as a no-op.
+  bool empty() const { return empty_; }
+
+ private:
+  friend class ClockState;
+  bool empty_ = true;
+  std::uint64_t lc_ = 0;                      ///< Lamport mode.
+  std::vector<clocks::VectorClock::Value> vc_;  ///< Vector mode.
+};
+
 class ClockState {
  public:
   ClockState(ClockMode mode, int nprocs, int rank);
 
   void tick();
-  /// Merge a serialized remote clock (no-op if empty — e.g. a message
-  /// that predates instrumentation in tests).
-  void merge(const mpism::Bytes& remote);
+  /// Decodes a serialized remote clock into `out` under this state's
+  /// clock mode, reusing out's buffer.
+  void decode(const mpism::Bytes& remote, MsgClock* out) const;
+  /// Merge a decoded remote clock (no-op if empty).
+  void merge(const MsgClock& remote);
   mpism::Bytes serialize() const;
   /// serialize() into a caller-owned buffer, reusing its capacity — the
   /// per-send piggyback attach path latches into the same buffer every
@@ -32,17 +51,17 @@ class ClockState {
     return vector_.components();
   }
 
-  /// Is a message carrying `msg_clock` (serialized) late with respect to
-  /// an epoch whose clocks were (epoch_lc, epoch_vc)? Lamport mode:
-  /// msg.LC < epoch.LC (paper §II-C). Vector mode: msg not causally after
-  /// the epoch.
-  bool is_late(const mpism::Bytes& msg_clock, std::uint64_t epoch_lc,
+  /// Is a message carrying `msg_clock` late with respect to an epoch
+  /// whose clocks were (epoch_lc, epoch_vc)? Lamport mode: msg.LC <
+  /// epoch.LC (paper §II-C). Vector mode: msg not causally after the
+  /// epoch. Exactly !is_after in both modes.
+  bool is_late(const MsgClock& msg_clock, std::uint64_t epoch_lc,
                const std::vector<clocks::VectorClock::Value>& epoch_vc) const;
 
   /// True when the message is causally *after* the epoch — the early-exit
   /// condition when scanning a rank's epochs newest-to-oldest (anything
   /// after epoch_i is also after every older epoch of the same rank).
-  bool is_after(const mpism::Bytes& msg_clock, std::uint64_t epoch_lc,
+  bool is_after(const MsgClock& msg_clock, std::uint64_t epoch_lc,
                 const std::vector<clocks::VectorClock::Value>& epoch_vc) const;
 
   ClockMode mode() const { return mode_; }

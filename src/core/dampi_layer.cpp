@@ -63,7 +63,8 @@ void DampiLayer::drain_unreceived(mpism::ToolCtx& ctx) {
       c.msg_id = got.msg_id;
       c.status = got;
       c.payload = &payload;
-      const mpism::Bytes msg_clock = transport_->on_recv_complete(ctx, c);
+      const MsgClock& msg_clock =
+          decode_incoming(transport_->on_recv_complete(ctx, c));
       find_potential_matches(ctx, c.src_world, c.seq, c.tag, comm, msg_clock);
       merge_incoming(msg_clock);
     }
@@ -196,7 +197,8 @@ void DampiLayer::post_wait(mpism::ToolCtx& ctx, mpism::ReqCompletion& c) {
   if (c.kind != mpism::ReqKind::kRecv) return;
   // Retrieve the sender's clock (deferred until the source is known —
   // the paper's wildcard piggyback rule).
-  const mpism::Bytes msg_clock = transport_->on_recv_complete(ctx, c);
+  const MsgClock& msg_clock =
+      decode_incoming(transport_->on_recv_complete(ctx, c));
 
   // If this completion resolves one of our wildcard epochs, bind its
   // outcome first so it cannot be recorded as its own alternative.
@@ -227,17 +229,17 @@ void DampiLayer::find_potential_matches(mpism::ToolCtx& ctx,
                                         mpism::Rank src_world,
                                         std::uint64_t seq, mpism::Tag tag,
                                         mpism::CommId comm,
-                                        const mpism::Bytes& msg_clock) {
+                                        const MsgClock& msg_clock) {
   if (msg_clock.empty()) return;
   bool late_for_any = false;
   // Newest-to-oldest; epochs of one rank are totally ordered by program
   // order, so once the message is causally after an epoch it is after all
-  // older ones too.
+  // older ones too. Every epoch before that point is late: is_late is
+  // exactly !is_after, so one comparison per epoch decides both.
   for (auto rit = epochs_.rbegin(); rit != epochs_.rend(); ++rit) {
     EpochRecord& epoch = *rit;
     if (clock_.is_after(msg_clock, epoch.lc, epoch.vc)) break;
     ctx.add_cost(options_.late_analysis_cost_us);
-    if (!clock_.is_late(msg_clock, epoch.lc, epoch.vc)) continue;
     late_for_any = true;
     if (epoch.in_ignored_region) continue;      // loop abstraction
     if (epoch.comm != comm) continue;
@@ -304,7 +306,7 @@ void DampiLayer::pre_collective(mpism::ToolCtx& ctx, mpism::CollCall& call) {
 void DampiLayer::post_collective(mpism::ToolCtx& ctx,
                                  const mpism::CollCall& call,
                                  const mpism::CollResult& result) {
-  if (result.has_incoming) merge_incoming(result.incoming);
+  if (result.has_incoming) merge_incoming(decode_incoming(result.incoming));
   if (result.new_comm != mpism::kCommNull) {
     transport_->on_new_comm(ctx, result.new_comm);
     known_comms_.push_back(result.new_comm);

@@ -85,8 +85,7 @@ class DampiLayer final : public mpism::ToolLayer {
   /// once the message is causally after an epoch).
   void find_potential_matches(mpism::ToolCtx& ctx, mpism::Rank src_world,
                               std::uint64_t seq, mpism::Tag tag,
-                              mpism::CommId comm,
-                              const mpism::Bytes& msg_clock);
+                              mpism::CommId comm, const MsgClock& msg_clock);
 
   void unsafe_check(mpism::ToolCtx& ctx, const char* op);
 
@@ -95,8 +94,14 @@ class DampiLayer final : public mpism::ToolLayer {
   ClockState& transmit_clock() {
     return options_.deferred_clock_sync ? xmit_clock_ : clock_;
   }
-  /// Apply an incoming remote clock to both trackers.
-  void merge_incoming(const mpism::Bytes& remote) {
+  /// Decode a serialized incoming clock into incoming_ (both trackers
+  /// share the clock mode, so one decode serves both).
+  const MsgClock& decode_incoming(const mpism::Bytes& remote) {
+    clock_.decode(remote, &incoming_);
+    return incoming_;
+  }
+  /// Apply a decoded incoming remote clock to both trackers.
+  void merge_incoming(const MsgClock& remote) {
     clock_.merge(remote);
     if (options_.deferred_clock_sync) xmit_clock_.merge(remote);
   }
@@ -116,6 +121,9 @@ class DampiLayer final : public mpism::ToolLayer {
   /// per epoch at completion.
   ClockState xmit_clock_;
   std::uint64_t nd_index_ = 0;
+  /// The clock of the completion being processed, decoded once and
+  /// reused across completions (no per-message allocation).
+  MsgClock incoming_;
 
   /// Epochs recorded by this rank this run (flushed at finalize/teardown).
   std::vector<EpochRecord> epochs_;

@@ -99,7 +99,9 @@ class ToolCtxImpl final : public ToolCtx {
 // ---------------------------------------------------------------------------
 
 Engine::Engine(RunOptions options)
-    : opts_(std::move(options)), lock_(opts_.engine_lock, opts_.nprocs) {
+    : opts_(std::move(options)),
+      sched_(make_scheduler(opts_.sched, opts_.nprocs)),
+      lock_(opts_.engine_lock, opts_.nprocs, sched_->runs_on_one_thread()) {
   DAMPI_CHECK(opts_.nprocs > 0);
   ranks_.reserve(static_cast<std::size_t>(opts_.nprocs));
   for (int i = 0; i < opts_.nprocs; ++i) {
@@ -109,7 +111,6 @@ Engine::Engine(RunOptions options)
   comms_.init(opts_.nprocs);
   policy_ = make_policy(opts_.policy, opts_.policy_seed);
   stats_.init(opts_.nprocs);
-  sched_ = make_scheduler(opts_.sched, opts_.nprocs);
 }
 
 Engine::~Engine() = default;

@@ -10,7 +10,8 @@
 // count-based deadlock scan take all shards (ascending); verdict flags,
 // counters, and id assignment are atomics. How ranks execute — one OS
 // thread each, or cooperative fibers multiplexed run-to-block onto the
-// calling thread — is delegated to a pluggable RankScheduler
+// calling thread, in which case the engine takes no lock at all — is
+// delegated to a pluggable RankScheduler
 // (mpism/scheduler.hpp); the engine only tells it when a rank blocks and
 // whose wake predicate may have flipped. Matching is *eager*: every send
 // is matched against posted receives at injection time and every receive
@@ -281,8 +282,10 @@ class Engine {
   void rank_body(Rank r, const ProgramFn& program);
 
   RunOptions opts_;
-  EngineLock lock_;
+  /// Built before lock_: whether the lock is taken at all depends on
+  /// where this scheduler runs the ranks (runs_on_one_thread).
   std::unique_ptr<RankScheduler> sched_;
+  EngineLock lock_;
   std::vector<std::unique_ptr<PerRank>> ranks_;
   /// Guarded by all-shards sections for writes; readers hold any shard
   /// (writers exclude them by holding every shard).

@@ -24,6 +24,15 @@
 // the pre-shard engine behaviour as a compiled-in differential baseline
 // (RunOptions::engine_lock / --engine-lock / DAMPI_ENGINE_LOCK, mirroring
 // the --match linear-vs-indexed pattern).
+//
+// Single-threaded engines take no lock at all. When the scheduler that
+// was built runs every rank of the engine on one host thread
+// (RankScheduler::runs_on_one_thread — the coop fibers), no two engine
+// critical sections can ever overlap, so every guard form (one shard, a
+// pair, all shards, and the unlock()/lock() around parking) becomes a
+// no-op and the lock kind is moot. Threads outside the run may still
+// enter the engine, but only through paths that never take a shard
+// (Engine::cancel: the verdict mutex, atomics, and scheduler wake hints).
 #pragma once
 
 #include <atomic>
@@ -44,11 +53,16 @@ enum class EngineLockKind {
 
 class EngineLock {
  public:
-  EngineLock(EngineLockKind kind, int nprocs)
+  /// `single_thread`: every rank of the engine runs on one host thread,
+  /// so the lock is never taken (see the header comment).
+  EngineLock(EngineLockKind kind, int nprocs, bool single_thread)
       : kind_(kind),
-        nshards_(kind == EngineLockKind::kGlobal ? 1 : nprocs) {
+        nshards_(kind == EngineLockKind::kGlobal ? 1 : nprocs),
+        single_thread_(single_thread) {
     DAMPI_CHECK(nprocs > 0);
-    shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(nshards_));
+    if (!single_thread_) {
+      shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(nshards_));
+    }
   }
 
   EngineLockKind kind() const { return kind_; }
@@ -95,7 +109,8 @@ class EngineLock {
 
   EngineLockKind kind_;
   int nshards_;
-  std::unique_ptr<Shard[]> shards_;
+  bool single_thread_;
+  std::unique_ptr<Shard[]> shards_;  ///< Null when single_thread_.
   std::atomic<std::uint64_t> acquires_{0};
   std::atomic<std::uint64_t> contended_{0};
   std::atomic<std::uint64_t> all_shards_{0};
@@ -104,7 +119,8 @@ class EngineLock {
 /// RAII ownership of one shard, a (sorted) shard pair, or all shards.
 /// unlock()/lock() release and reacquire the whole held set — that is
 /// what the scheduler's block/yield paths use to park a rank — always in
-/// ascending order.
+/// ascending order. On a single-thread lock every form only tracks
+/// owns(): no mutex is touched and no statistic counted.
 class EngineGuard {
  public:
   struct AllShardsTag {};
@@ -112,14 +128,16 @@ class EngineGuard {
 
   /// Acquires the shard owning rank r (global mode: the one mutex).
   EngineGuard(EngineLock& l, Rank r) : l_(&l), a_(l.shard_of(r)) {
-    l_->lock_shard(a_);
+    if (!l_->single_thread_) l_->lock_shard(a_);
     owned_ = true;
   }
 
   /// Acquires every shard in ascending order (a global engine section).
   EngineGuard(EngineLock& l, AllShardsTag) : l_(&l), all_(true) {
-    l_->all_shards_.fetch_add(1, std::memory_order_relaxed);
-    for (int i = 0; i < l_->nshards_; ++i) l_->lock_shard(i);
+    if (!l_->single_thread_) {
+      l_->all_shards_.fetch_add(1, std::memory_order_relaxed);
+      for (int i = 0; i < l_->nshards_; ++i) l_->lock_shard(i);
+    }
     owned_ = true;
   }
 
@@ -136,7 +154,7 @@ class EngineGuard {
   /// critical section must be re-validated by the caller.
   bool add(Rank r) {
     DAMPI_CHECK(owned_);
-    if (all_) return true;
+    if (all_ || l_->single_thread_) return true;
     const int s = l_->shard_of(r);
     if (s == a_ || s == b_) return true;
     if (s > (b_ >= 0 ? b_ : a_)) {  // Still ascending: take it directly.
@@ -161,30 +179,37 @@ class EngineGuard {
   /// running tool hooks outside the engine's critical section).
   void unlock() {
     DAMPI_CHECK(owned_);
+    owned_ = false;
+    if (l_->single_thread_) return;
     if (all_) {
       for (int i = l_->nshards_ - 1; i >= 0; --i) l_->unlock_shard(i);
     } else {
       if (b_ >= 0) l_->unlock_shard(b_);
       l_->unlock_shard(a_);
     }
-    owned_ = false;
   }
 
   /// Reacquires the same set, ascending.
   void lock() {
     DAMPI_CHECK(!owned_);
+    owned_ = true;
+    if (l_->single_thread_) return;
     if (all_) {
       for (int i = 0; i < l_->nshards_; ++i) l_->lock_shard(i);
     } else {
       l_->lock_shard(a_);
       if (b_ >= 0) l_->lock_shard(b_);
     }
-    owned_ = true;
   }
 
   bool owns() const { return owned_; }
-  /// True when this guard covers every shard (a global section).
-  bool all() const { return all_ || l_->nshards_ == 1; }
+  /// True when this guard covers every shard (a global section): an
+  /// all-shards guard, any guard on the one global mutex, or any guard
+  /// on a single-thread lock, whose one host thread owns all engine
+  /// state whenever it runs engine code.
+  bool all() const {
+    return all_ || l_->nshards_ == 1 || l_->single_thread_;
+  }
 
  private:
   EngineLock* l_;

@@ -121,6 +121,7 @@ class ThreadScheduler final : public RankScheduler {
   }
 
   bool detects_stall() const override { return false; }
+  bool runs_on_one_thread() const override { return false; }
   const char* name() const override { return "thread"; }
 
  private:
@@ -250,6 +251,7 @@ class CoopScheduler final : public RankScheduler {
   }
 
   bool detects_stall() const override { return true; }
+  bool runs_on_one_thread() const override { return true; }
 
   const char* name() const override {
     switch (opts_.pick) {

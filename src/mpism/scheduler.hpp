@@ -19,7 +19,8 @@
 // mutex, or per-rank shards — see engine_lock.hpp). `block`/`yield` are
 // called by a rank holding an EngineGuard over its state and return with
 // the same guard held once `wake_ready(rank)` or `stop()` is true; the
-// scheduler releases and reacquires the guard around the actual park.
+// scheduler releases and reacquires the guard around the actual park
+// (both no-ops when runs_on_one_thread() made the engine lock-free).
 // `wake`/`wake_all` may be called from any thread, with or without
 // shards held (they only touch scheduler-internal leaf state), and are
 // hints — a scheduler may wake spuriously but must never lose a wakeup.
@@ -122,6 +123,12 @@ class RankScheduler {
   /// redundant and wrong (a runnable-but-unscheduled rank is neither
   /// blocked nor finished yet must not trip "everyone is stuck").
   virtual bool detects_stall() const = 0;
+  /// True when run() executes every rank on the calling host thread, so
+  /// no two ranks' engine code can ever overlap in time. The engine
+  /// then takes no lock at all (see engine_lock.hpp). Asked of the
+  /// scheduler actually built: a coop request in a sanitizer build gets
+  /// a ThreadScheduler, which answers false and keeps its locks.
+  virtual bool runs_on_one_thread() const = 0;
   virtual const char* name() const = 0;
 };
 

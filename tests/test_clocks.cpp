@@ -1,9 +1,14 @@
 // Unit tests for Lamport and vector clocks — the causality substrate of
-// DAMPI's late-message analysis.
+// DAMPI's late-message analysis — and a differential of the DAMPI layer's
+// ClockState against them.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "clocks/lamport.hpp"
 #include "clocks/vector_clock.hpp"
+#include "common/rng.hpp"
+#include "core/clock_state.hpp"
 
 namespace dampi::clocks {
 namespace {
@@ -152,3 +157,109 @@ INSTANTIATE_TEST_SUITE_P(Hops, ClockChainTest,
 
 }  // namespace
 }  // namespace dampi::clocks
+
+namespace dampi::core {
+namespace {
+
+using clocks::LamportClock;
+using clocks::Ordering;
+using clocks::VectorClock;
+using mpism::Bytes;
+
+/// Small components make equal, before, after and concurrent pairs all
+/// common; UINT64_MAX checks that nothing overflows.
+std::vector<VectorClock::Value> random_components(Rng& rng, int n) {
+  std::vector<VectorClock::Value> v(static_cast<std::size_t>(n));
+  for (auto& c : v) {
+    c = rng.next_below(16) == 0 ? ~VectorClock::Value{0} : rng.next_below(4);
+  }
+  return v;
+}
+
+Bytes serialized(ClockMode mode, const std::vector<VectorClock::Value>& v) {
+  if (mode == ClockMode::kLamport) return mpism::pack(v.front());
+  return mpism::pack_vec(v);
+}
+
+// ClockState decodes a message clock once and compares or merges it in
+// place; every answer must equal the clocks:: reference, in both modes,
+// with empty (uninstrumented) message clocks mixed in.
+TEST(ClockStateDifferential, MatchesTheReferenceClocks) {
+  Rng rng(2024);
+  for (const ClockMode mode : {ClockMode::kLamport, ClockMode::kVector}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const int n = 1 + static_cast<int>(rng.next_below(6));
+      const int rank = static_cast<int>(rng.next_below(n));
+      ClockState state(mode, n, rank);
+      LamportClock ref_lc;
+      VectorClock ref_vc(n, rank);
+      MsgClock msg;
+      for (int step = 0; step < 12; ++step) {
+        const bool empty = rng.next_below(8) == 0;
+        const auto m = random_components(rng, n);
+        const Bytes wire = empty ? Bytes{} : serialized(mode, m);
+        state.decode(wire, &msg);
+        ASSERT_EQ(msg.empty(), empty);
+
+        const auto epoch_vc = random_components(rng, n);
+        const std::uint64_t epoch_lc = epoch_vc.front();
+        const std::vector<VectorClock::Value> no_vc;
+        const auto& evc = mode == ClockMode::kVector ? epoch_vc : no_vc;
+        bool want_late = false;
+        bool want_after = true;
+        if (!empty && mode == ClockMode::kLamport) {
+          want_late = m.front() < epoch_lc;
+          want_after = m.front() >= epoch_lc;
+        } else if (!empty) {
+          const Ordering o = VectorClock::compare(m, epoch_vc);
+          want_late = VectorClock::not_after(m, epoch_vc);
+          want_after = o == Ordering::kAfter || o == Ordering::kEqual;
+        }
+        EXPECT_EQ(state.is_late(msg, epoch_lc, evc), want_late);
+        EXPECT_EQ(state.is_after(msg, epoch_lc, evc), want_after);
+
+        state.merge(msg);
+        if (!empty && mode == ClockMode::kLamport) {
+          ref_lc.merge(m.front());
+        } else if (!empty) {
+          ref_vc.merge(m);
+          VectorClock::Value max_c = 0;
+          for (const auto c : m) max_c = std::max(max_c, c);
+          ref_lc.merge(max_c);
+        }
+        if (rng.next_below(3) == 0) {
+          state.tick();
+          ref_lc.tick();
+          ref_vc.tick();
+        }
+        ASSERT_EQ(state.lamport_value(), ref_lc.value());
+        if (mode == ClockMode::kVector) {
+          ASSERT_EQ(state.vector_components(), ref_vc.components());
+        }
+      }
+
+      // Collective merge: the component-wise (scalar) max of every
+      // contribution.
+      const std::size_t k = 1 + rng.next_below(5);
+      std::vector<Bytes> all;
+      VectorClock ref_max(n, 0);
+      VectorClock::Value ref_scalar = 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto m = random_components(rng, n);
+        all.push_back(serialized(mode, m));
+        ref_max.merge(m);
+        ref_scalar = std::max(ref_scalar, m.front());
+      }
+      const Bytes merged = ClockState::merge_serialized(all);
+      if (mode == ClockMode::kLamport) {
+        EXPECT_EQ(merged, mpism::pack(ref_scalar));
+      } else {
+        EXPECT_EQ(merged, mpism::pack_vec(ref_max.components()));
+      }
+    }
+  }
+  EXPECT_TRUE(ClockState::merge_serialized({Bytes{}, Bytes{}}).empty());
+}
+
+}  // namespace
+}  // namespace dampi::core

@@ -14,7 +14,8 @@
 //    the deadlock patterns under both schedulers, bit-identical under
 //    coop;
 //  - observability: the sharded mode accounts lock acquisitions and
-//    envelope inline hits in the metrics registry.
+//    envelope inline hits in the metrics registry; a coop run, whose
+//    ranks all share one host thread, takes no engine lock at all.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -419,6 +420,39 @@ TEST(EngineLockObs, ShardedRunAccountsLockAndInlineTraffic) {
   EXPECT_GT(reg.counter("engine.lock.acquired").value(), 0u);
   EXPECT_GT(reg.counter("engine.lock.all_shards").value(), 0u);
   EXPECT_GT(reg.counter("engine.envelope.inline_hits").value(), 0u);
+  reg.reset();
+}
+
+// The coop scheduler runs every rank on one host thread, so its engine
+// takes no lock in either mode; the thread scheduler still locks.
+TEST(EngineLockObs, CoopRunTakesNoEngineLockThreadRunDoes) {
+  SKIP_WITHOUT_COOP();
+  auto& reg = obs::Registry::instance();
+  for (const EngineLockKind lock :
+       {EngineLockKind::kGlobal, EngineLockKind::kSharded}) {
+    for (const auto sched_kind :
+         {mpism::SchedulerKind::kCoop, mpism::SchedulerKind::kThread}) {
+      reg.reset();
+      mpism::RunOptions options;
+      options.nprocs = 4;
+      options.engine_lock = lock;
+      options.sched.kind = sched_kind;
+      const auto report = run_program(options, [](mpism::Proc& p) {
+        all_pairs_churn(p, /*rounds=*/4);
+      });
+      ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+      const std::string what =
+          mpism::engine_lock_spec(lock) +
+          (sched_kind == mpism::SchedulerKind::kCoop ? " coop" : " thread");
+      if (sched_kind == mpism::SchedulerKind::kCoop) {
+        EXPECT_EQ(reg.counter("engine.lock.acquired").value(), 0u) << what;
+        EXPECT_EQ(reg.counter("engine.lock.all_shards").value(), 0u) << what;
+      } else {
+        EXPECT_GT(reg.counter("engine.lock.acquired").value(), 0u) << what;
+      }
+      EXPECT_EQ(reg.counter("engine.runs").value(), 1u) << what;
+    }
+  }
   reg.reset();
 }
 

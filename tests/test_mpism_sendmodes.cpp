@@ -187,7 +187,8 @@ TEST(TestAny, ReturnsLowestReadyIndex) {
     if (p.rank() == 0) {
       std::vector<RequestId> reqs = {p.irecv(1, 1), p.irecv(1, 2)};
       EXPECT_EQ(p.testany(reqs), reqs.size());  // nothing ready yet
-      p.recv(1, 3);                             // tag-2 sent, then tag-3
+      p.send(1, 5, pack<int>(0));  // only now may rank 1 send tag 2
+      p.recv(1, 3);                // tag-2 sent, then tag-3
       Bytes data;
       Status st;
       const std::size_t idx = p.testany(reqs, &st, &data);
@@ -196,6 +197,7 @@ TEST(TestAny, ReturnsLowestReadyIndex) {
       p.send(1, 4, pack<int>(0));
       p.waitall(reqs);
     } else {
+      p.recv(0, 5);  // rank 0's first testany has run
       p.send(0, 2, pack<int>(2));
       p.send(0, 3, pack<int>(0));
       p.recv(0, 4);

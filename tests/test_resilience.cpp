@@ -466,6 +466,215 @@ TEST(Checkpoint, LoadRefusesCorruptOrForeignFiles) {
           .has_value());
 }
 
+// A checkpoint that exercises every journal line and frame trailer,
+// negative ranks and UINT64_MAX components included.
+Checkpoint golden_checkpoint() {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  Checkpoint cp;
+  cp.fingerprint = "nprocs=3 clock=1 tag=golden";
+  cp.interleavings = 42;
+  cp.retries = 1;
+  cp.timeouts = 0;
+  cp.quarantined = 2;
+  cp.divergences = 3;
+  cp.prefix_mismatches = kMax;
+  cp.fault_fires = {0, 3, kMax};
+
+  core::DfsFrame full;
+  full.key = {2, 7};
+  full.lc = 9;
+  full.taken_src = -1;
+  full.untried = {-1, 1};
+  full.seen = {-1, 0, 1};
+  full.mix_budget = -1;
+  full.escape_alts = true;
+  full.sleep = {0, 2};
+  full.comm = 2;
+  full.tag = 7;
+  full.vc = {0, kMax, 5};
+  cp.frames.push_back(full);
+
+  core::DfsFrame bare;
+  bare.key = {0, 0};
+  bare.taken_src = 1;
+  bare.seen = {1};
+  bare.record_alts = false;
+  cp.frames.push_back(bare);
+
+  core::DfsFrame pending;
+  pending.key = {1, kMax};
+  pending.lc = 3;
+  pending.taken_src = 0;
+  pending.untried = {2};
+  pending.seen = {0, 2};
+  pending.mix_budget = 2;
+  pending.tag = 5;
+  cp.pending_sleep.push_back(pending);
+
+  BugRecord deadlock;
+  deadlock.kind = BugRecord::Kind::kDeadlock;
+  deadlock.interleaving = 4;
+  deadlock.deadlock_detail = "rank 0 blocked in recv\nrank 1 blocked in recv\n";
+  deadlock.schedule.forced[{0, 1}] = 2;
+  deadlock.schedule.forced[{2, 0}] = -1;
+  cp.bugs.push_back(deadlock);
+
+  BugRecord error;
+  error.kind = BugRecord::Kind::kError;
+  error.interleaving = kMax;
+  error.errors.push_back({-1, "tool \\ died\r\n"});
+  error.errors.push_back({2, "assert"});
+  cp.bugs.push_back(error);
+
+  cp.unsafe_alerts = {"first\nsecond", "plain"};
+  return cp;
+}
+
+// The journal format, byte for byte: resumed campaigns and distributed
+// shards read journals written by earlier builds.
+constexpr const char* kGoldenJournal =
+    "# dampi-checkpoint v1\n"
+    "options nprocs=3 clock=1 tag=golden\n"
+    "interleavings 42\n"
+    "counters 1 0 2 3 18446744073709551615\n"
+    "ffires 3 0 3 18446744073709551615\n"
+    "frame 2 7 9 -1 1 -1 u 2 -1 1 s 3 -1 0 1 e 1 z 2 0 2 f 2 7 "
+    "v 3 0 18446744073709551615 5\n"
+    "frame 0 0 0 1 0 0 u 0 s 1 1\n"
+    "pframe 1 18446744073709551615 3 0 1 2 u 1 2 s 2 0 2 f 0 5\n"
+    "bug 0 4\n"
+    "bdetail rank 0 blocked in recv\\nrank 1 blocked in recv\\n\n"
+    "bdec 0 1 2\n"
+    "bdec 2 0 -1\n"
+    "bug 1 18446744073709551615\n"
+    "berr -1 tool \\\\ died\\r\\n\n"
+    "berr 2 assert\n"
+    "bdetail \n"
+    "alert first\\nsecond\n"
+    "alert plain\n"
+    "end\n";
+
+TEST(Checkpoint, SerializeMatchesTheGoldenJournal) {
+  EXPECT_EQ(core::serialize_checkpoint(golden_checkpoint()), kGoldenJournal);
+}
+
+TEST(Checkpoint, GoldenJournalParsesBackToTheSameCheckpoint) {
+  std::string error;
+  const auto parsed =
+      core::parse_checkpoint(kGoldenJournal, "nprocs=3 clock=1 tag=golden",
+                             &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(core::serialize_checkpoint(*parsed), kGoldenJournal);
+  const Checkpoint want = golden_checkpoint();
+  ASSERT_EQ(parsed->frames.size(), 2u);
+  const core::DfsFrame& full = parsed->frames[0];
+  EXPECT_EQ(full.taken_src, -1);
+  EXPECT_EQ(full.untried, want.frames[0].untried);
+  EXPECT_EQ(full.seen, want.frames[0].seen);
+  EXPECT_EQ(full.sleep, want.frames[0].sleep);
+  EXPECT_TRUE(full.escape_alts);
+  EXPECT_EQ(full.comm, 2);
+  EXPECT_EQ(full.tag, 7);
+  EXPECT_EQ(full.vc, want.frames[0].vc);
+  EXPECT_FALSE(parsed->frames[1].record_alts);
+  ASSERT_EQ(parsed->pending_sleep.size(), 1u);
+  EXPECT_EQ(parsed->pending_sleep[0].key.nd_index, ~std::uint64_t{0});
+  EXPECT_EQ(parsed->pending_sleep[0].tag, 5);
+  EXPECT_EQ(parsed->prefix_mismatches, ~std::uint64_t{0});
+  EXPECT_EQ(parsed->fault_fires, want.fault_fires);
+  ASSERT_EQ(parsed->bugs.size(), 2u);
+  EXPECT_EQ(parsed->bugs[0].deadlock_detail, want.bugs[0].deadlock_detail);
+  EXPECT_EQ(parsed->bugs[0].schedule.forced.size(), 2u);
+  ASSERT_EQ(parsed->bugs[1].errors.size(), 2u);
+  EXPECT_EQ(parsed->bugs[1].errors[0].rank, -1);
+  EXPECT_EQ(parsed->bugs[1].errors[0].message, "tool \\ died\r\n");
+  EXPECT_EQ(parsed->unsafe_alerts, want.unsafe_alerts);
+}
+
+// Every refusal names its line and cause in fixed words; users and the
+// dist coordinator see these texts.
+TEST(Checkpoint, MalformedJournalsGiveExactErrors) {
+  const std::string head = "# dampi-checkpoint v1\noptions x\n";
+  const std::string frame0 = "frame 0 0 0 -1 1 0 u 0 s 0";
+  const struct {
+    std::string text;
+    const char* error;
+  } cases[] = {
+      {"", "missing '# dampi-checkpoint v1' header"},
+      {"\n\nfoo\n",
+       "line 3: first non-blank line must be the '# dampi-checkpoint v1' "
+       "header"},
+      {"# dampi-checkpoint v1\nend\n", "missing 'options' fingerprint line"},
+      {head, "truncated checkpoint (missing 'end' trailer)"},
+      {head + "end\nframe\n", "line 4: content after 'end' trailer"},
+      {head + "interleavings x\nend\n", "line 3: bad interleavings count"},
+      {head + "counters 1 2 3 4\nend\n", "line 3: bad counters line"},
+      {head + "ffires\nend\n", "line 3: bad ffires line"},
+      {head + "ffires 3 1 2\nend\n", "line 3: truncated ffires line"},
+      {head + "frame 0 bad\nend\n", "line 3: bad frame line"},
+      {head + "pframe 1\nend\n", "line 3: bad frame line"},
+      {head + "frame 99999999999 0 0 -1 1 0 u 0 s 0\nend\n",
+       "line 3: bad frame line"},
+      {head + "frame 0 0 0 -1 1 0 x 0 s 0\nend\n", "line 3: bad frame line"},
+      {head + "frame 0 0 0 -1 1 0 u 2 1\nend\n",
+       "line 3: truncated untried list"},
+      {head + "frame 0 0 0 -1 1 0 u 0 t 0\nend\n", "line 3: bad seen list"},
+      {head + "frame 0 0 0 -1 1 0 u 0 s 2 1\nend\n",
+       "line 3: truncated seen list"},
+      {head + frame0 + " q 1\nend\n", "line 3: bad frame trailer"},
+      {head + frame0 + " e\nend\n", "line 3: bad frame trailer"},
+      {head + frame0 + " z\nend\n", "line 3: bad sleep list"},
+      {head + frame0 + " z 2 1\nend\n", "line 3: truncated sleep list"},
+      {head + frame0 + " f 1\nend\n", "line 3: bad footprint trailer"},
+      {head + frame0 + " v\nend\n", "line 3: bad vector-clock trailer"},
+      {head + frame0 + " v 2 7\nend\n",
+       "line 3: truncated vector-clock trailer"},
+      {head + "bug 9 1\nend\n", "line 3: bad bug line"},
+      {head + "bug 0\nend\n", "line 3: bad bug line"},
+      {head + "berr 0 x\nend\n", "line 3: berr outside a bug block"},
+      {head + "bug 1 1\nberr x\nend\n", "line 4: berr outside a bug block"},
+      {head + "bdetail x\nend\n", "line 3: bdetail outside a bug block"},
+      {head + "bdec 0 0 1\nend\n", "line 3: bdec outside a bug block"},
+      {head + "bogus 1\nend\n", "line 3: unknown keyword 'bogus'"},
+      {head + "\t\nend\n", "line 3: unknown keyword ''"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_FALSE(core::parse_checkpoint(c.text, "", &error).has_value())
+        << c.text;
+    EXPECT_EQ(error, c.error) << c.text;
+  }
+  std::string error;
+  EXPECT_FALSE(core::parse_checkpoint(head + "end\n", "y", &error));
+  EXPECT_EQ(error,
+            "options fingerprint mismatch — checkpoint was written by a "
+            "different configuration\n  checkpoint: x\n  current:    y");
+}
+
+// Numbers follow stream-extraction rules: any whitespace separates,
+// a sign is accepted, and an unsigned field wraps a '-'.
+TEST(Checkpoint, NumbersParseWithStreamExtractionRules) {
+  std::string error;
+  const auto cp = core::parse_checkpoint(
+      "# dampi-checkpoint v1\r\n\noptions x \n# comment\n"
+      "interleavings -1\ncounters\t+1 2  3\t4 5\n"
+      "frame +3 4 5 -1 1 0 u 1 -2 s 0 v 1 -1\n"
+      "bug 1 7\nberr 3  two  spaces\nend\n",
+      "", &error);
+  ASSERT_TRUE(cp.has_value()) << error;
+  EXPECT_EQ(cp->fingerprint, "x");
+  EXPECT_EQ(cp->interleavings, ~std::uint64_t{0});
+  EXPECT_EQ(cp->retries, 1u);
+  EXPECT_EQ(cp->prefix_mismatches, 5u);
+  ASSERT_EQ(cp->frames.size(), 1u);
+  EXPECT_EQ(cp->frames[0].key.rank, 3);
+  EXPECT_EQ(cp->frames[0].untried, (std::vector<mpism::Rank>{-2}));
+  EXPECT_EQ(cp->frames[0].vc, (std::vector<std::uint64_t>{~std::uint64_t{0}}));
+  ASSERT_EQ(cp->bugs.size(), 1u);
+  ASSERT_EQ(cp->bugs[0].errors.size(), 1u);
+  EXPECT_EQ(cp->bugs[0].errors[0].message, " two  spaces");
+}
+
 TEST(Checkpoint, KillAtKThenResumeMatchesTheUninterruptedWalk) {
   SKIP_WITHOUT_COOP();  // pin the deterministic scheduler for equality
   auto base_options = [] {
