@@ -1,14 +1,16 @@
 // Matching-structure cost: linear scan vs indexed lanes, swept over
 // unexpected-queue depth (16..8192) and wildcard fan-in.
 //
-// The engine change this measures: find_specific / take / posted-match
-// were O(queue length) deque walks; the indexed structure answers them
+// What this measures: find_specific / take / posted-match as plain
+// deque walks are O(queue length); the engine's MatchIndex answers them
 // from hashed per-source FIFO lanes in O(1) amortized, and wildcard
 // candidates come off precomputed lane heads (O(sources), not
-// O(queued)). Measured here at the structure level — same MatchIndex
-// interface the engine drives, no scheduler noise — as ns/op per
-// matcher plus the speedup, then an engine-level run to confirm the
-// indexed matcher's match.scan_length histogram collapses to 1.
+// O(queued)). The linear column is the test oracle
+// (tests/support/linear_match_index.hpp), which answers every query the
+// way a deque walk does. Measured at the structure level — the same
+// queries the engine issues, no scheduler noise — as ns/op per matcher
+// plus the speedup, then an engine-level run to confirm the indexed
+// matcher's match.scan_length histogram collapses to 1.
 //
 // Output: the table on stdout and BENCH_matching.json
 // (machine-readable, referenced by EXPERIMENTS.md).
@@ -22,6 +24,7 @@
 #include "mpism/match_index.hpp"
 #include "mpism/runtime.hpp"
 #include "obs/metrics.hpp"
+#include "support/linear_match_index.hpp"
 
 using namespace dampi;
 
@@ -30,7 +33,7 @@ namespace {
 using mpism::Envelope;
 using mpism::MatchCandidate;
 using mpism::MatchIndex;
-using mpism::MatchKind;
+using test::LinearMatchIndex;
 
 Envelope make_env(mpism::Rank src, mpism::Tag tag, std::uint64_t seq,
                   std::uint64_t msg_id) {
@@ -69,16 +72,17 @@ struct Cell {
 /// Worst-case specific receive: q messages from other (src, tag) pairs
 /// queued ahead of the one the receive names — the linear matcher walks
 /// all of them, the indexed one reads a lane head.
-double bench_find_specific(MatchKind kind, int depth) {
-  auto idx = mpism::make_match_index(kind);
+template <typename Index>
+double bench_find_specific(int depth) {
+  Index idx;
   std::uint64_t id = 1;
   for (int i = 0; i < depth; ++i) {
-    idx->push_unexpected(
+    idx.push_unexpected(
         make_env(1 + (i % 3), i % 4, static_cast<std::uint64_t>(i), id++));
   }
-  idx->push_unexpected(make_env(7, 9, 0, id++));  // the needle, queued last
+  idx.push_unexpected(make_env(7, 9, 0, id++));  // the needle, queued last
   return measure_ns([&idx] {
-    const Envelope* e = idx->find_specific(7, 9, mpism::kCommWorld);
+    const Envelope* e = idx.find_specific(7, 9, mpism::kCommWorld);
     if (e == nullptr) std::abort();
   });
 }
@@ -86,17 +90,18 @@ double bench_find_specific(MatchKind kind, int depth) {
 /// Steady-state churn at depth q: push one message and take it back by
 /// id while q older messages sit in the queue (the id-removal path a
 /// deep query hands to take()). Also the slab-pool reuse loop.
-double bench_churn(MatchKind kind, int depth) {
-  auto idx = mpism::make_match_index(kind);
+template <typename Index>
+double bench_churn(int depth) {
+  Index idx;
   std::uint64_t id = 1;
   for (int i = 0; i < depth; ++i) {
-    idx->push_unexpected(
+    idx.push_unexpected(
         make_env(1 + (i % 3), i % 4, static_cast<std::uint64_t>(i), id++));
   }
   std::uint64_t seq = static_cast<std::uint64_t>(depth);
   return measure_ns([&idx, &id, &seq] {
-    idx->push_unexpected(make_env(7, 9, seq++, id));
-    idx->take(id);
+    idx.push_unexpected(make_env(7, 9, seq++, id));
+    idx.take(id);
     ++id;
   });
 }
@@ -104,17 +109,18 @@ double bench_churn(MatchKind kind, int depth) {
 /// Wildcard candidate build: fanin sources, depth/fanin messages each,
 /// all one tag. Linear rebuilds per-source heads from the whole queue;
 /// indexed reads fanin lane heads.
-double bench_wildcard(MatchKind kind, int depth, int fanin) {
-  auto idx = mpism::make_match_index(kind);
+template <typename Index>
+double bench_wildcard(int depth, int fanin) {
+  Index idx;
   std::uint64_t id = 1;
   for (int i = 0; i < depth; ++i) {
-    idx->push_unexpected(make_env(i % fanin, 7,
+    idx.push_unexpected(make_env(i % fanin, 7,
                                   static_cast<std::uint64_t>(i / fanin),
                                   id++));
   }
   std::vector<MatchCandidate> buf;
   return measure_ns([&idx, &buf] {
-    idx->wildcard_candidates(7, mpism::kCommWorld, &buf);
+    idx.wildcard_candidates(7, mpism::kCommWorld, &buf);
     if (buf.empty()) std::abort();
   });
 }
@@ -128,7 +134,6 @@ double indexed_scan_p99_bound() {
   obs::Registry::instance().reset();
   mpism::RunOptions options;
   options.nprocs = 4;
-  options.match = MatchKind::kIndexed;
   mpism::Runtime runtime(std::move(options));
   const int queued = bench::quick_mode() ? 128 : 1024;
   const auto report = runtime.run([queued](mpism::Proc& p) {
@@ -195,16 +200,16 @@ int main() {
     Cell c;
     c.scenario = "find_specific";
     c.depth = depth;
-    c.linear_ns = bench_find_specific(MatchKind::kLinear, depth);
-    c.indexed_ns = bench_find_specific(MatchKind::kIndexed, depth);
+    c.linear_ns = bench_find_specific<LinearMatchIndex>(depth);
+    c.indexed_ns = bench_find_specific<MatchIndex>(depth);
     cells.push_back(c);
   }
   for (const int depth : depths) {
     Cell c;
     c.scenario = "push_take_churn";
     c.depth = depth;
-    c.linear_ns = bench_churn(MatchKind::kLinear, depth);
-    c.indexed_ns = bench_churn(MatchKind::kIndexed, depth);
+    c.linear_ns = bench_churn<LinearMatchIndex>(depth);
+    c.indexed_ns = bench_churn<MatchIndex>(depth);
     cells.push_back(c);
   }
   const int wc_depth = bench::quick_mode() ? 256 : 1024;
@@ -213,8 +218,8 @@ int main() {
     c.scenario = "wildcard_candidates";
     c.depth = wc_depth;
     c.fanin = fanin;
-    c.linear_ns = bench_wildcard(MatchKind::kLinear, wc_depth, fanin);
-    c.indexed_ns = bench_wildcard(MatchKind::kIndexed, wc_depth, fanin);
+    c.linear_ns = bench_wildcard<LinearMatchIndex>(wc_depth, fanin);
+    c.indexed_ns = bench_wildcard<MatchIndex>(wc_depth, fanin);
     cells.push_back(c);
   }
 

@@ -118,7 +118,8 @@ void BM_RuntimePingPong(benchmark::State& state) {
 BENCHMARK(BM_RuntimePingPong)->Arg(64)->Arg(1024)->UseRealTime();
 
 /// Wildcard matching with a deep unexpected queue: the engine must find
-/// per-source heads among q queued messages.
+/// per-source heads among q queued messages. Timed in real time, like
+/// BM_RuntimePingPong: the rank threads do the work.
 void BM_WildcardMatchDepth(benchmark::State& state) {
   const int queued = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -142,9 +143,10 @@ void BM_WildcardMatchDepth(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 3 * queued);
 }
-BENCHMARK(BM_WildcardMatchDepth)->Arg(16)->Arg(128);
+BENCHMARK(BM_WildcardMatchDepth)->Arg(16)->Arg(128)->UseRealTime();
 
-/// Native vs DAMPI-instrumented wall cost of the same small program.
+/// Native vs DAMPI-instrumented wall cost of the same small program,
+/// timed in real time (the rank threads do the work).
 void BM_InstrumentationWallOverhead(benchmark::State& state) {
   const bool instrumented = state.range(0) != 0;
   for (auto _ : state) {
@@ -171,7 +173,8 @@ void BM_InstrumentationWallOverhead(benchmark::State& state) {
 BENCHMARK(BM_InstrumentationWallOverhead)
     ->Arg(0)
     ->Arg(1)
-    ->ArgNames({"instrumented"});
+    ->ArgNames({"instrumented"})
+    ->UseRealTime();
 
 /// Arms every per-run watchdog budget far above what the run uses, so
 /// the measured delta is pure bookkeeping: one branch + counter + clock

@@ -110,16 +110,6 @@ int usage(const char* argv0) {
       "                         thread, or $DAMPI_SCHED when set)\n"
       "  --sched-seed N         seed for coop-random / coop-priority "
       "picks\n"
-      "  --match KIND           message matcher: indexed (O(1) lanes, "
-      "default)\n"
-      "                         or linear (scan oracle; $DAMPI_MATCH when "
-      "set)\n"
-      "  --engine-lock KIND     engine locking: sharded (per-rank shards, "
-      "default)\n"
-      "                         or global (single-mutex baseline; "
-      "$DAMPI_ENGINE_LOCK\n"
-      "                         when set); verdicts are identical across "
-      "modes\n"
       "  --por MODE             partial-order reduction: sleep "
       "(commuting-decision\n"
       "                         sleep sets, default) or off (full "
@@ -234,8 +224,6 @@ int main(int argc, char** argv) {
   int auto_loop = 0;
   int jobs = 1;
   mpism::SchedOptions sched = mpism::default_sched_options();
-  mpism::MatchKind match = mpism::default_match_kind();
-  mpism::EngineLockKind engine_lock = mpism::default_engine_lock_kind();
   core::PorMode por = core::default_por_mode();
   bool use_isp = false;
   std::string save_repro_path;
@@ -319,20 +307,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       sched.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--match") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (!mpism::parse_match_spec(v, &match)) {
-        std::printf("unknown --match value: %s\n", v);
-        return usage(argv[0]);
-      }
-    } else if (arg == "--engine-lock") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (!mpism::parse_engine_lock_spec(v, &engine_lock)) {
-        std::printf("unknown --engine-lock value: %s\n", v);
-        return usage(argv[0]);
-      }
     } else if (arg == "--por") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -491,8 +465,6 @@ int main(int argc, char** argv) {
   explorer_options.auto_loop_threshold = auto_loop;
   explorer_options.jobs = jobs;
   explorer_options.sched = sched;
-  explorer_options.match = match;
-  explorer_options.engine_lock = engine_lock;
   explorer_options.por = por;
   explorer_options.run_deadline_seconds = run_deadline_seconds;
   explorer_options.max_run_ops = run_max_ops;
@@ -703,8 +675,6 @@ int main(int argc, char** argv) {
       native.policy = explorer_options.policy;
       native.policy_seed = explorer_options.policy_seed;
       native.sched = explorer_options.sched;
-      native.match = explorer_options.match;
-      native.engine_lock = explorer_options.engine_lock;
       native.max_run_wall_seconds = explorer_options.run_deadline_seconds;
       native.max_run_vtime_us = explorer_options.max_run_vtime_us;
       native.max_ops = explorer_options.max_run_ops;
@@ -769,12 +739,9 @@ int main(int argc, char** argv) {
   }
   stop_bridge();
 
-  std::printf("program                : %s (%d ranks, %s, sched %s, match "
-              "%s, lock %s, por %s)\n",
+  std::printf("program                : %s (%d ranks, %s, sched %s, por %s)\n",
               name.c_str(), procs, use_isp ? "ISP baseline" : "DAMPI",
-              mpism::sched_spec(sched).c_str(), mpism::match_spec(match),
-              mpism::engine_lock_spec(engine_lock).c_str(),
-              core::por_spec(por));
+              mpism::sched_spec(sched).c_str(), core::por_spec(por));
   if (distributed) {
     std::printf(
         "distributed campaign   : %d workers (%d spawned), %llu shards "

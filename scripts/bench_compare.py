@@ -1,24 +1,11 @@
 #!/usr/bin/env python3
-"""Perf smoke for the matching index: indexed must not lose to linear.
+"""Contract checks over the JSON the campaign benches emit.
 
-Runs `bench_micro` twice — DAMPI_MATCH=linear, then DAMPI_MATCH=indexed —
-over the engine-path benchmarks the matcher sits on, and compares
-per-benchmark real_time. The indexed matcher is the default, so a run
-where it is meaningfully slower than the linear oracle is a regression
-worth failing on.
-
-With --distributed PATH it instead reads the BENCH_distributed.json that
+With --distributed PATH it reads the BENCH_distributed.json that
 bench_distributed emits and checks the campaign-equivalence contract:
 every worker count must report identical interleavings, exit code, and
 verdict. Speedup is reported but never failed on — a 1-core host has a
 legitimately flat curve (the JSON records nproc for exactly this reason).
-
-With --contention PATH it reads the BENCH_contention.json that
-bench_contention emits and compares the sharded engine lock against the
-global-mutex baseline per rank count. On a single-hardware-thread host
-the comparison is report-only (no parallelism to unlock — a flat or
-slightly worse curve is the honest result); on multi-core, sharded
-losing to global beyond the tolerance is flagged as a regression.
 
 With --por PATH it reads the BENCH_por.json that bench_por emits and
 checks the sleep-set pruning contract: every row must be marked
@@ -34,48 +21,17 @@ summary numbers from the JSON). Plans/sec is reported but never failed
 on — scaling is conditional on cores.
 
 Usage:
-  scripts/bench_compare.py [--bench PATH] [--tolerance FRAC] [--warn-only]
   scripts/bench_compare.py --distributed BENCH_distributed.json [--warn-only]
-  scripts/bench_compare.py --contention BENCH_contention.json [--warn-only]
   scripts/bench_compare.py --por BENCH_por.json [--warn-only]
   scripts/bench_compare.py --sweep BENCH_sweep.json [--warn-only]
 
-Exit codes: 0 ok (or --warn-only), 1 regression, 2 cannot run bench.
+Exit codes: 0 ok (or --warn-only), 1 contract violated, 2 unreadable
+input.
 """
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-
-# Engine-path benchmarks: deep-queue wildcard matching is where the index
-# must win; ping-pong is the shallow-queue path where it must at least
-# not lose (within tolerance — it does constant hash work per message).
-FILTER = "BM_WildcardMatchDepth|BM_RuntimePingPong"
-
-
-def run_bench(bench, match_kind):
-    env = dict(os.environ, DAMPI_MATCH=match_kind)
-    cmd = [
-        bench,
-        f"--benchmark_filter={FILTER}",
-        "--benchmark_format=json",
-    ]
-    try:
-        out = subprocess.run(
-            cmd, env=env, capture_output=True, text=True, check=True
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as err:
-        print(f"bench_compare: cannot run {bench} ({err})", file=sys.stderr)
-        sys.exit(2)
-    results = {}
-    for entry in json.loads(out).get("benchmarks", []):
-        if entry.get("run_type") == "aggregate":
-            continue
-        results[entry["name"]] = float(entry["real_time"])
-    return results
-
 
 def check_distributed(path, warn_only):
     try:
@@ -116,56 +72,6 @@ def check_distributed(path, warn_only):
         print("bench_compare: campaign result invariant across worker counts")
         if nproc <= 1:
             print("bench_compare: 1-core host — flat scaling curve expected")
-
-
-def check_contention(path, tolerance, warn_only):
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except (OSError, ValueError) as err:
-        print(f"bench_compare: cannot read {path} ({err})", file=sys.stderr)
-        sys.exit(2)
-
-    cells = data.get("cells", [])
-    by_scale = {}
-    for cell in cells:
-        by_scale.setdefault(cell["nprocs"], {})[cell["lock"]] = cell
-    scales = sorted(n for n, pair in by_scale.items()
-                    if "global" in pair and "sharded" in pair)
-    if not scales:
-        print("bench_compare: no comparable global/sharded cell pairs",
-              file=sys.stderr)
-        sys.exit(2)
-
-    hw = data.get("hw_threads", 0)
-    print(f"{'ranks':>6} {'global r/s':>12} {'sharded r/s':>12} "
-          f"{'speedup':>8} {'contended %':>12}  (hw threads: {hw})")
-    regressions = []
-    for n in scales:
-        g = by_scale[n]["global"]
-        s = by_scale[n]["sharded"]
-        speedup = s["runs_per_sec"] / g["runs_per_sec"]
-        contended_pct = (100.0 * s["lock_contended"] / s["lock_acquired"]
-                         if s["lock_acquired"] else 0.0)
-        flag = ""
-        if hw > 1 and speedup < 1.0 - tolerance:
-            regressions.append((n, speedup))
-            flag = "  <-- REGRESSION"
-        print(f"{n:>6} {g['runs_per_sec']:>12.1f} {s['runs_per_sec']:>12.1f} "
-              f"{speedup:>7.2f}x {contended_pct:>11.1f}%{flag}")
-
-    if hw <= 1:
-        print("bench_compare: 1-hw-thread host — report-only, a flat "
-              "curve is expected")
-    if regressions:
-        print(f"bench_compare: sharded lock slower than the global baseline "
-              f"at rank counts {[n for n, _ in regressions]} "
-              f"(tolerance {tolerance:.0%})", file=sys.stderr)
-        if not warn_only:
-            sys.exit(1)
-        print("bench_compare: --warn-only set, not failing", file=sys.stderr)
-    elif hw > 1:
-        print("bench_compare: sharded lock holds up at every rank count")
 
 
 def check_por(path, warn_only):
@@ -250,98 +156,35 @@ def check_sweep(path, warn_only):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--distributed",
         metavar="JSON",
-        help="check a BENCH_distributed.json instead of the matcher bench",
+        help="check a BENCH_distributed.json",
     )
-    parser.add_argument(
-        "--contention",
-        metavar="JSON",
-        help="check a BENCH_contention.json instead of the matcher bench",
-    )
-    parser.add_argument(
+    mode.add_argument(
         "--por",
         metavar="JSON",
-        help="check a BENCH_por.json instead of the matcher bench",
+        help="check a BENCH_por.json",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--sweep",
         metavar="JSON",
-        help="check a BENCH_sweep.json instead of the matcher bench",
-    )
-    parser.add_argument(
-        "--bench",
-        default="build/bench/bench_micro",
-        help="path to the bench_micro binary",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        help="allowed indexed/linear slowdown fraction (default 0.15)",
+        help="check a BENCH_sweep.json",
     )
     parser.add_argument(
         "--warn-only",
         action="store_true",
-        help="report regressions but exit 0 (CI smoke mode)",
+        help="report violations but exit 0 (CI smoke mode)",
     )
     args = parser.parse_args()
 
     if args.distributed:
         check_distributed(args.distributed, args.warn_only)
-        return
-
-    if args.contention:
-        check_contention(args.contention, args.tolerance, args.warn_only)
-        return
-
-    if args.por:
+    elif args.por:
         check_por(args.por, args.warn_only)
-        return
-
-    if args.sweep:
-        check_sweep(args.sweep, args.warn_only)
-        return
-
-    if not os.path.exists(args.bench):
-        print(f"bench_compare: {args.bench} not built", file=sys.stderr)
-        sys.exit(2)
-
-    linear = run_bench(args.bench, "linear")
-    indexed = run_bench(args.bench, "indexed")
-    names = sorted(set(linear) & set(indexed))
-    if not names:
-        print("bench_compare: no comparable benchmarks ran", file=sys.stderr)
-        sys.exit(2)
-
-    regressions = []
-    print(f"{'benchmark':<40} {'linear':>12} {'indexed':>12} {'ratio':>7}")
-    for name in names:
-        ratio = indexed[name] / linear[name]
-        flag = ""
-        if ratio > 1.0 + args.tolerance:
-            regressions.append((name, ratio))
-            flag = "  <-- REGRESSION"
-        print(
-            f"{name:<40} {linear[name]:>10.0f}ns {indexed[name]:>10.0f}ns "
-            f"{ratio:>6.2f}x{flag}"
-        )
-
-    if regressions:
-        print(
-            f"bench_compare: indexed matcher slower than linear on "
-            f"{len(regressions)} benchmark(s) "
-            f"(tolerance {args.tolerance:.0%}):",
-            file=sys.stderr,
-        )
-        for name, ratio in regressions:
-            print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
-        if not args.warn_only:
-            sys.exit(1)
-        print("bench_compare: --warn-only set, not failing", file=sys.stderr)
     else:
-        print("bench_compare: indexed matcher holds up on every benchmark")
+        check_sweep(args.sweep, args.warn_only)
 
 
 if __name__ == "__main__":

@@ -1,26 +1,25 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full build + test sweep (once under the default
 # thread-per-rank scheduler, once with DAMPI_SCHED=coop so every test
-# also runs on the cooperative fiber scheduler, once with
-# DAMPI_MATCH=linear so every test also runs on the linear matching
-# oracle, once with DAMPI_ENGINE_LOCK=global so every test also runs on
-# the single-mutex engine baseline, once with DAMPI_POR=off so every
-# test also runs on the unpruned cross-product walk), the resilience
-# stage (resil-labelled tests, the verify_cli
-# exit-code contract, a livelock watchdog sweep across schedulers and
-# jobs widths, and a SIGINT kill + --resume determinism smoke), a trace
-# smoke test (a real workload exported with --trace
-# must validate under trace_check), a DAMPI_TRACE=OFF configure+build
-# check, a Release (-O3) configure+build check, a warn-only matcher perf smoke (bench_compare.py), a
-# fault-sweep stage (sweep-labelled tests, the --sweep-faults exit-code
-# contract, a SIGINT kill + --resume byte-identity smoke, and the
-# bench_sweep worker-count determinism check), then the
-# concurrent explorer tests again under ThreadSanitizer
-# (-DDAMPI_SANITIZE=thread; only the
-# `concurrency`/`obs`/`match`/`enginelock` labelled tests rerun there,
-# so the TSan stage stays fast; coop fibers
-# are unsupported under TSan and fall back to the thread scheduler,
-# which is exactly the path TSan can check).
+# also runs on the cooperative fiber scheduler, once with DAMPI_POR=off
+# so every test also runs on the unpruned cross-product walk), the
+# resilience stage (resil-labelled tests, the verify_cli exit-code
+# contract, a livelock watchdog sweep across schedulers and jobs
+# widths, and a SIGINT kill + --resume determinism smoke), the
+# distributed stage, a trace smoke test (a real workload exported with
+# --trace must validate under trace_check), a DAMPI_TRACE=OFF
+# configure+build check, a Release (-O3) configure+build check, the
+# repository benchmark's self-test (perfbench/selftest.py: builds the
+# benchmark harness against this tree and runs every workload at smoke
+# size), the distributed and POR bench smokes, a fault-sweep stage
+# (sweep-labelled tests, the --sweep-faults exit-code contract, a
+# SIGINT kill + --resume byte-identity smoke, and the bench_sweep
+# worker-count determinism check), then the concurrent tests again
+# under ThreadSanitizer (-DDAMPI_SANITIZE=thread; only the
+# `concurrency`/`obs`/`match`/`enginelock`/`por`/`sweep` labelled tests
+# rerun there, so the TSan stage stays fast; coop fibers are
+# unsupported under TSan and fall back to the thread scheduler, which
+# is exactly the path TSan can check).
 #
 # Usage: scripts/tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -37,20 +36,6 @@ cmake --build build -j "${jobs}"
 # not pinning a scheduler reruns on coop fibers.
 (cd build && DAMPI_SCHED=coop ctest --output-on-failure -j "${jobs}")
 echo "tier1: coop-scheduler sweep OK"
-
-# And again with the linear matcher: DAMPI_MATCH swaps the default
-# matching structure, so every test not pinning one reruns on the
-# O(queue) scan oracle. Any behavioural gap between the matchers shows
-# up as a suite difference here.
-(cd build && DAMPI_MATCH=linear ctest --output-on-failure -j "${jobs}")
-echo "tier1: linear-matcher sweep OK"
-
-# And with the global-mutex engine baseline: DAMPI_ENGINE_LOCK swaps the
-# default engine concurrency control, so every test not pinning a lock
-# mode reruns on the pre-sharding single-mutex path. Verdicts are
-# identical across modes by contract.
-(cd build && DAMPI_ENGINE_LOCK=global ctest --output-on-failure -j "${jobs}")
-echo "tier1: global-engine-lock sweep OK"
 
 # And with sleep-set pruning disabled: DAMPI_POR swaps the default
 # partial-order reduction mode, so every test not pinning one reruns on
@@ -219,25 +204,12 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${jobs}"
 echo "tier1: Release build OK"
 
-# Perf smoke: the indexed matcher (the default) must not lose to the
-# linear oracle on the engine-path microbenchmarks. Warn-only — shared
-# CI hosts are too noisy to gate on, but the table lands in the log.
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/bench_compare.py --warn-only
-  echo "tier1: matcher perf smoke OK"
-else
-  echo "tier1: python3 unavailable, skipping matcher perf smoke"
-fi
-
-# Lock-contention smoke: global mutex vs sharded engine lock. Warn-only
-# for the same reason — and on a 1-core host the sharded curve is
-# legitimately flat (the JSON records hw_threads for exactly that).
-(cd build/bench && DAMPI_BENCH_QUICK=1 ./bench_contention > /dev/null)
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/bench_compare.py \
-    --contention build/bench/BENCH_contention.json --warn-only
-fi
-echo "tier1: lock-contention smoke OK"
+# Repository benchmark self-test: perfbench/ compiles its own harness
+# against this tree's RunOptions/ExplorerOptions, so an API change that
+# breaks it must fail here rather than in the next benchmark run. Runs
+# every workload at smoke size and checks schema and known answers.
+CARGO_TARGET_DIR=build-perfbench python3 perfbench/selftest.py
+echo "tier1: perfbench self-test OK"
 
 # Distributed scaling smoke: the bench itself fails on any cross-width
 # divergence; the compare step re-checks the JSON (warn-only for the

@@ -97,7 +97,11 @@ double Histogram::quantile_bound(double q) const {
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     seen += counts_[i];
     if (static_cast<double>(seen) >= target) {
-      return i + 1 == counts_.size() ? stat_.max() : limit;
+      // A bucket limit can overshoot every sample it covers; the
+      // observed range is the tighter bound.
+      return i + 1 == counts_.size()
+                 ? stat_.max()
+                 : std::clamp(limit, stat_.min(), stat_.max());
     }
     limit *= 2.0;
   }

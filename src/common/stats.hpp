@@ -49,7 +49,8 @@ class Histogram {
   double mean() const { return stat_.mean(); }
 
   /// Smallest bucket upper bound that covers at least fraction `q` of the
-  /// samples (0 when empty). Exact within a factor of 2.
+  /// samples, clamped to [min(), max()] (0 when empty). Exact within a
+  /// factor of 2.
   double quantile_bound(double q) const;
 
   /// Compact one-line rendering: "n=37 mean=1.2e-03 p50<=2.0e-03 ...".

@@ -260,16 +260,14 @@ std::string options_fingerprint(const ExplorerOptions& options) {
   }
   std::string fp = strfmt(
       "nprocs=%d clock=%d transport=%d mix=%s loopabs=%d unsafe=%d "
-      "autoloop=%d defsync=%d sched=%s schedseed=%llu match=%s lock=%s "
-      "por=%s policy=%d pseed=%llu init=%016llx",
+      "autoloop=%d defsync=%d sched=%s schedseed=%llu por=%s policy=%d "
+      "pseed=%llu init=%016llx",
       options.nprocs, static_cast<int>(options.clock_mode),
       static_cast<int>(options.transport), mix.c_str(),
       options.loop_abstraction ? 1 : 0, options.unsafe_monitor ? 1 : 0,
       options.auto_loop_threshold, options.deferred_clock_sync ? 1 : 0,
       mpism::sched_spec(options.sched).c_str(),
       static_cast<unsigned long long>(options.sched.seed),
-      mpism::match_spec(options.match),
-      mpism::engine_lock_spec(options.engine_lock).c_str(),
       por_spec(options.por),
       static_cast<int>(options.policy),
       static_cast<unsigned long long>(options.policy_seed),

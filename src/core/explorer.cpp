@@ -183,8 +183,6 @@ SingleRun run_guided_once(const ExplorerOptions& options,
   run_options.policy = options.policy;
   run_options.policy_seed = options.policy_seed;
   run_options.sched = options.sched;
-  run_options.match = options.match;
-  run_options.engine_lock = options.engine_lock;
   run_options.max_run_wall_seconds = options.run_deadline_seconds;
   run_options.max_run_vtime_us = options.max_run_vtime_us;
   run_options.max_ops = options.max_run_ops;

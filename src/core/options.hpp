@@ -109,18 +109,6 @@ struct ExplorerOptions {
   /// hundreds of ranks on one core. Defaults honor DAMPI_SCHED.
   mpism::SchedOptions sched = mpism::default_sched_options();
 
-  /// Message-matching structure for every run (discovery and replays):
-  /// indexed O(1) lanes (default) or the linear-scan oracle, bit-for-bit
-  /// equivalent and selectable for differential checks. Honors
-  /// DAMPI_MATCH.
-  mpism::MatchKind match = mpism::default_match_kind();
-
-  /// Engine concurrency control for every run: per-destination-rank lock
-  /// shards (default) or the single global mutex kept as the
-  /// differential baseline; verdicts and fingerprints are identical
-  /// across modes. Honors DAMPI_ENGINE_LOCK.
-  mpism::EngineLockKind engine_lock = mpism::default_engine_lock_kind();
-
   /// Partial-order reduction of the DFS walk (core/por.hpp): sleep-set
   /// pruning over provably commuting epoch decisions (default), or the
   /// full cross-product walk kept as the differential baseline. Pruning

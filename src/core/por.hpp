@@ -24,9 +24,8 @@
 
 namespace dampi::core {
 
-/// kOff is the compiled-in differential baseline (repo convention, like
-/// --match linear): the full cross-product walk, selectable per campaign
-/// for equivalence sweeps.
+/// kOff is the compiled-in differential baseline: the full cross-product
+/// walk, selectable per campaign for equivalence sweeps.
 enum class PorMode { kOff, kSleep };
 
 bool parse_por_spec(const std::string& spec, PorMode* out);

@@ -13,8 +13,6 @@ VerifyResult Verifier::verify(const mpism::ProgramFn& program,
     native.policy = options_.explorer.policy;
     native.policy_seed = options_.explorer.policy_seed;
     native.sched = options_.explorer.sched;
-    native.match = options_.explorer.match;
-    native.engine_lock = options_.explorer.engine_lock;
     // Watchdog budgets and external cancellation also guard the native
     // measurement run: a program that livelocks natively must not wedge
     // the verifier before exploration even starts.

@@ -29,7 +29,7 @@ struct CommRecord {
 };
 
 /// Owns all communicators of one run. Not thread-safe by itself; the
-/// engine serializes access under its global mutex.
+/// engine serializes access under its engine mutex.
 class CommTable {
  public:
   /// Sets up kCommWorld over `nprocs` ranks.

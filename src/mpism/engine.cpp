@@ -101,12 +101,11 @@ class ToolCtxImpl final : public ToolCtx {
 Engine::Engine(RunOptions options)
     : opts_(std::move(options)),
       sched_(make_scheduler(opts_.sched, opts_.nprocs)),
-      lock_(opts_.engine_lock, opts_.nprocs, sched_->runs_on_one_thread()) {
+      lock_(sched_->runs_on_one_thread()) {
   DAMPI_CHECK(opts_.nprocs > 0);
   ranks_.reserve(static_cast<std::size_t>(opts_.nprocs));
   for (int i = 0; i < opts_.nprocs; ++i) {
     ranks_.push_back(std::make_unique<PerRank>());
-    ranks_.back()->match = make_match_index(opts_.match);
   }
   comms_.init(opts_.nprocs);
   policy_ = make_policy(opts_.policy, opts_.policy_seed);
@@ -140,11 +139,11 @@ RunReport Engine::run(const ProgramFn& program) {
   };
   cb.stop = [this] { return stopped(); };
   cb.on_stall = [this] {
-    // Coop stall: every fiber is parked (none holds a shard), so the
-    // all-shards section is uncontended; the verdict mutex arbitrates
-    // against a concurrent external cancel.
-    EngineGuard all(lock_, EngineGuard::kAllShards);
-    declare_deadlock(all);
+    // Coop stall: every fiber is parked, so the engine section is
+    // uncontended; the verdict mutex arbitrates against a concurrent
+    // external cancel.
+    EngineGuard g(lock_);
+    declare_deadlock();
   };
   if (has_wall_deadline_) {
     cb.deadline = run_deadline_;
@@ -215,7 +214,7 @@ RunReport Engine::run(const ProgramFn& program) {
   for (const auto& pr_ptr : ranks_) {
     req_total.acquired += pr_ptr->req_pool.stats().acquired;
     req_total.reused += pr_ptr->req_pool.stats().reused;
-    const PoolStats s = pr_ptr->match->pool_stats();
+    const PoolStats s = pr_ptr->match.pool_stats();
     nodes.acquired += s.acquired;
     nodes.reused += s.reused;
     buf_total.acquired += pr_ptr->buf_pool.stats().acquired;
@@ -228,13 +227,11 @@ RunReport Engine::run(const ProgramFn& program) {
   buf_acquired_metric.add(buf_total.acquired);
   buf_reused_metric.add(buf_total.reused);
 
-  // Lock-shard contention and envelope small-buffer effectiveness.
+  // Engine-mutex contention and envelope small-buffer effectiveness.
   static obs::Counter& lock_acquired_metric =
       obs::Registry::instance().counter("engine.lock.acquired");
   static obs::Counter& lock_contended_metric =
       obs::Registry::instance().counter("engine.lock.contended");
-  static obs::Counter& lock_all_shards_metric =
-      obs::Registry::instance().counter("engine.lock.all_shards");
   static obs::Counter& env_inline_metric =
       obs::Registry::instance().counter("engine.envelope.inline_hits");
   static obs::Counter& env_spill_metric =
@@ -242,7 +239,6 @@ RunReport Engine::run(const ProgramFn& program) {
   const EngineLock::Stats ls = lock_.stats();
   lock_acquired_metric.add(ls.acquires);
   lock_contended_metric.add(ls.contended);
-  lock_all_shards_metric.add(ls.all_shards);
   env_inline_metric.add(payload_inline_hits_.load(std::memory_order_relaxed));
   env_spill_metric.add(payload_heap_spills_.load(std::memory_order_relaxed));
   return report;
@@ -286,7 +282,7 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
     abort_all();
   }
 
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   me.finished = true;
   finished_count_.fetch_add(1, std::memory_order_acq_rel);
   if (finished_normally && !stopped()) {
@@ -297,7 +293,7 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
     }
   }
   if (blocked_count_.load(std::memory_order_acquire) > 0) {
-    maybe_declare_deadlock(g, r);
+    maybe_declare_deadlock();
   }
 }
 
@@ -318,7 +314,7 @@ void Engine::blocking_wait(EngineGuard& g, Rank r, BlockKind kind,
   blocked_count_.fetch_add(1, std::memory_order_acq_rel);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kBegin, r,
                static_cast<std::int32_t>(kind));
-  maybe_declare_deadlock(g, r);
+  maybe_declare_deadlock();
   sched_->block(g, r);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kEnd, r,
                static_cast<std::int32_t>(kind));
@@ -332,7 +328,7 @@ void Engine::blocking_wait(EngineGuard& g, Rank r, BlockKind kind,
   }
 }
 
-void Engine::maybe_declare_deadlock(EngineGuard& g, Rank) {
+void Engine::maybe_declare_deadlock() {
   // Schedulers that run ranks to their blocking point detect stalls
   // exactly (no runnable candidate anywhere); the count below would
   // misfire there, because a runnable-but-unscheduled rank is neither
@@ -340,9 +336,7 @@ void Engine::maybe_declare_deadlock(EngineGuard& g, Rank) {
   // blocking must not read "everyone is stuck".
   if (sched_->detects_stall()) return;
   // A deadlock needs at least one blocked rank: without the > 0 guard,
-  // "everyone finished" also sums to nprocs, and the escalation below
-  // could reach that state if the last blocked rank wakes and finishes
-  // between the caller's count read and the all-shards reacquisition.
+  // "everyone finished" also sums to nprocs.
   if (blocked_count_.load(std::memory_order_acquire) == 0 ||
       blocked_count_.load(std::memory_order_acquire) +
               finished_count_.load(std::memory_order_acquire) !=
@@ -352,44 +346,15 @@ void Engine::maybe_declare_deadlock(EngineGuard& g, Rank) {
   }
   // A rank whose wake condition already holds is merely late to wake, not
   // stuck; with eager matching no spontaneous events exist, so "all
-  // blocked with no satisfied predicate" is an exact deadlock. The scan
-  // reads every rank's block state, so it needs every shard: escalate if
-  // this guard holds fewer, re-validating the counts afterwards (a peer
-  // may have woken while we held nothing).
-  if (g.all()) {
-    for (const auto& p : ranks_) {
-      if (p->blocked && p->block_pred && p->block_pred()) return;
-    }
-    declare_deadlock(g);
-    return;
+  // blocked with no satisfied predicate" is an exact deadlock. The caller
+  // holds the engine mutex, so every rank's block state is stable here.
+  for (const auto& p : ranks_) {
+    if (p->blocked && p->block_pred && p->block_pred()) return;
   }
-  g.unlock();
-  {
-    EngineGuard all(lock_, EngineGuard::kAllShards);
-    // Re-validate the blocked > 0 guard too: the last blocked rank can
-    // wake and finish while we held nothing, leaving blocked=0 and
-    // finished=nprocs — the sum still matches, but that is a completed
-    // run, not a deadlock (and the scan below would be vacuous).
-    if (blocked_count_.load(std::memory_order_acquire) > 0 &&
-        blocked_count_.load(std::memory_order_acquire) +
-                finished_count_.load(std::memory_order_acquire) ==
-            opts_.nprocs &&
-        !stopped()) {
-      bool satisfied = false;
-      for (const auto& p : ranks_) {
-        if (p->blocked && p->block_pred && p->block_pred()) {
-          satisfied = true;
-          break;
-        }
-      }
-      if (!satisfied) declare_deadlock(all);
-    }
-  }
-  g.lock();
+  declare_deadlock();
 }
 
-void Engine::declare_deadlock(EngineGuard& g) {
-  DAMPI_CHECK(g.all());
+void Engine::declare_deadlock() {
   {
     // The verdict mutex arbitrates against a concurrent cancel/timeout:
     // exactly one of them wins and the rest become no-ops.
@@ -480,13 +445,13 @@ void Engine::check_abort(EngineGuard& g) {
 }
 
 // ---------------------------------------------------------------------------
-// Matching engine primitives (owning shard(s) held)
+// Matching engine primitives (engine mutex held)
 // ---------------------------------------------------------------------------
 
 std::uint64_t& Engine::seq_counter(PerRank& sender, Rank dst, CommId comm) {
   // Pack the pair; each component is comfortably below 2^20. The counter
-  // map lives in the *sender's* PerRank (its shard serializes it), so the
-  // old global (src, dst, comm) key drops the src component.
+  // map lives in the *sender's* PerRank, so a (src, dst, comm) key drops
+  // the src component.
   const std::uint64_t key = (static_cast<std::uint64_t>(dst) << 20) |
                             static_cast<std::uint64_t>(comm);
   return sender.seq_counters[key];
@@ -495,7 +460,7 @@ std::uint64_t& Engine::seq_counter(PerRank& sender, Rank dst, CommId comm) {
 RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
                            CommId comm, Bytes payload, bool tool_internal,
                            bool synchronous, SendInfo* info) {
-  (void)g;  // Covers shards r and dst_world (EngineGuard::add).
+  (void)g;  // Holds the engine mutex.
   PerRank& me = pr(r);
   me.vt_add(opts_.cost.send_overhead_us +
             opts_.cost.send_per_byte_us * static_cast<double>(payload.size()));
@@ -563,7 +528,7 @@ bool Engine::match_arrival(Rank dst, Envelope&& env) {
   PerRank& receiver = pr(dst);
   // Earliest-posted compatible receive (the record stays owned by the
   // request table; completion does not consume it).
-  RequestRecord* rec = receiver.match->match_posted(env);
+  RequestRecord* rec = receiver.match.match_posted(env);
   if (rec != nullptr) {
     DAMPI_TEVENT(obs::EventKind::kSendMatch, obs::Phase::kInstant,
                  env.src_world, env.dst_world, env.tag);
@@ -572,7 +537,7 @@ bool Engine::match_arrival(Rank dst, Envelope&& env) {
   }
   DAMPI_TEVENT(obs::EventKind::kSendQueued, obs::Phase::kInstant,
                env.src_world, env.dst_world, env.tag);
-  receiver.match->push_unexpected(std::move(env));
+  receiver.match.push_unexpected(std::move(env));
   // A rank blocked in a probe may now have a matchable message.
   sched_->wake(dst);
   return false;
@@ -582,11 +547,11 @@ void Engine::complete_recv(Rank r, RequestRecord& rec, Envelope&& env) {
   if (env.sender_rec != nullptr) {
     // Rendezvous: the matching receive releases the synchronous sender;
     // the release (ack) reaches it one latency after the match. The
-    // sender's record is completed *cross-shard* through its atomics
-    // (slab addresses are stable, and an incomplete send cannot be
-    // consumed, so the record outlives this store): vtime first, then
-    // the flag with release ordering — the sender's wake predicate
-    // acquire-loads the flag.
+    // sender's record is completed through its atomics (slab addresses
+    // are stable, and an incomplete send cannot be consumed, so the
+    // record outlives this store): vtime first, then the flag with
+    // release ordering — the sender's wake predicate acquire-loads the
+    // flag.
     const Rank sender_world = env.sender_world;
     env.sender_rec->complete_vtime.store(
         std::max(pr(r).vt(), env.arrival_vtime) + opts_.cost.latency_us,
@@ -601,7 +566,7 @@ void Engine::complete_recv(Rank r, RequestRecord& rec, Envelope&& env) {
 
 RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
                            CommId comm, bool tool_internal) {
-  (void)g;  // Covers shard r.
+  (void)g;  // Holds the engine mutex.
   PerRank& me = pr(r);
   PoolPtr<RequestRecord> rec = new_request(me);
   rec->id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
@@ -618,33 +583,33 @@ RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
 
   if (src_world == kAnySource) {
     std::vector<MatchCandidate>& cands = me.cand_buf;
-    me.match->wildcard_candidates(tag, comm, &cands);
+    me.match.wildcard_candidates(tag, comm, &cands);
     if (!cands.empty()) {
       std::size_t pick = 0;
       if (cands.size() > 1) {
-        // The policy RNG is engine-global mutable state; a leaf mutex
-        // keeps wildcard draws well-defined under sharded locking.
+        // The policy RNG is engine-global mutable state, serialized by
+        // its own leaf mutex.
         std::lock_guard<std::mutex> pl(policy_mu_);
         pick = policy_->choose(cands);
       }
       DAMPI_CHECK(pick < cands.size());
       DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
                    cands[pick].src_world, r, cands[pick].tag);
-      complete_recv(r, rec_ref, me.match->take(cands[pick].msg_id));
+      complete_recv(r, rec_ref, me.match.take(cands[pick].msg_id));
       return id;
     }
   } else {
-    const Envelope* env = me.match->find_specific(src_world, tag, comm);
+    const Envelope* env = me.match.find_specific(src_world, tag, comm);
     if (env != nullptr) {
       DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
                    env->src_world, r, env->tag);
-      complete_recv(r, rec_ref, me.match->take(env->msg_id));
+      complete_recv(r, rec_ref, me.match.take(env->msg_id));
       return id;
     }
   }
   DAMPI_TEVENT(obs::EventKind::kRecvPost, obs::Phase::kInstant, src_world, 0,
                tag);
-  me.match->post_recv(&rec_ref);
+  me.match.post_recv(&rec_ref);
   return id;
 }
 
@@ -751,7 +716,7 @@ RequestId Engine::api_isend(Rank r, Rank dst, Tag tag, Bytes payload,
   call.blocking = blocking;
   hooks_pre_isend(r, call);
 
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   validate_comm_member(g, r, call.comm);
@@ -765,11 +730,6 @@ RequestId Engine::api_isend(Rank r, Rank dst, Tag tag, Bytes payload,
   stats_.bump(OpCategory::kSendRecv, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   const Rank dst_world = comms_.to_world(call.comm, call.dst);
-  // Delivering into dst's queues needs its shard too. add() may drop and
-  // reacquire to respect lock ordering; nothing resolved above is held by
-  // reference across it, and the comm cannot be freed meanwhile (freeing
-  // is collective over its members, which include the rank sending here).
-  g.add(dst_world);
   SendInfo info;
   const RequestId id = do_isend(g, r, dst_world, call.tag, call.comm,
                                 std::move(*call.payload), false, synchronous,
@@ -788,7 +748,7 @@ RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
   call.blocking = blocking;
   hooks_pre_irecv(r, call);
 
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   validate_comm_member(g, r, call.comm);
@@ -811,7 +771,7 @@ RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
 Status Engine::api_wait(Rank r, RequestId req, Bytes* out, bool count_stat) {
   if (count_stat) hooks_pre_wait(r, req);
 
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   if (pr(r).reqs.find(req) == pr(r).reqs.end()) {
@@ -826,7 +786,7 @@ Status Engine::api_wait(Rank r, RequestId req, Bytes* out, bool count_stat) {
 bool Engine::api_test(Rank r, RequestId req, Status* status, Bytes* out) {
   hooks_pre_wait(r, req);
 
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   auto it = pr(r).reqs.find(req);
@@ -852,7 +812,7 @@ void Engine::api_waitall(Rank r, std::span<RequestId> reqs) {
   bool first = true;
   for (RequestId& req : reqs) {
     if (req == kNullRequest) continue;
-    EngineGuard g(lock_, r);
+    EngineGuard g(lock_);
     check_abort(g);
     charge_op(g, r);
     if (pr(r).reqs.find(req) == pr(r).reqs.end()) {
@@ -874,7 +834,7 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
                                 Status* status, Bytes* out) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
 
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   stats_.bump(OpCategory::kWait, r);
@@ -915,7 +875,7 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
 
 bool Engine::api_testall(Rank r, std::span<RequestId> reqs) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   stats_.bump(OpCategory::kWait, r);
@@ -943,7 +903,7 @@ bool Engine::api_testall(Rank r, std::span<RequestId> reqs) {
 std::size_t Engine::api_testany(Rank r, std::span<RequestId> reqs,
                                 Status* status, Bytes* out) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   stats_.bump(OpCategory::kWait, r);
@@ -973,7 +933,7 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
   call.blocking = (flag == nullptr);
   hooks_pre_probe(r, call);
 
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   validate_comm_member(g, r, call.comm);
@@ -983,9 +943,9 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
 
   auto exists = [this, r, src_world, &call]() -> bool {
     if (src_world == kAnySource) {
-      return pr(r).match->has_candidates(call.tag, call.comm);
+      return pr(r).match.has_candidates(call.tag, call.comm);
     }
-    return pr(r).match->find_specific(src_world, call.tag, call.comm) !=
+    return pr(r).match.find_specific(src_world, call.tag, call.comm) !=
            nullptr;
   };
 
@@ -1004,16 +964,16 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
     const Envelope* env = nullptr;
     if (src_world == kAnySource) {
       std::vector<MatchCandidate>& cands = pr(r).cand_buf;
-      pr(r).match->wildcard_candidates(call.tag, call.comm, &cands);
+      pr(r).match.wildcard_candidates(call.tag, call.comm, &cands);
       DAMPI_CHECK(!cands.empty());
       std::size_t pick = 0;
       if (cands.size() > 1) {
         std::lock_guard<std::mutex> pl(policy_mu_);
         pick = policy_->choose(cands);
       }
-      env = pr(r).match->find_by_id(cands[pick].msg_id);
+      env = pr(r).match.find_by_id(cands[pick].msg_id);
     } else {
-      env = pr(r).match->find_specific(src_world, call.tag, call.comm);
+      env = pr(r).match.find_specific(src_world, call.tag, call.comm);
     }
     DAMPI_CHECK(env != nullptr);
     status.source = comms_.to_rel(call.comm, env->src_world);
@@ -1031,7 +991,7 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
 }
 
 // ---------------------------------------------------------------------------
-// Collectives (all shards held: slot state and the comm table are global)
+// Collectives (engine mutex held: slot state and the comm table are global)
 // ---------------------------------------------------------------------------
 
 Bytes Engine::apply_reduce(EngineGuard& g, Rank r, const CollSlot& slot,
@@ -1118,7 +1078,7 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
                                        Bytes pb_contribution,
                                        bool tool_internal,
                                        CollResult* tool_result) {
-  EngineGuard g(lock_, EngineGuard::kAllShards);
+  EngineGuard g(lock_);
   check_abort(g);
   if (!tool_internal) charge_op(g, r);
   validate_comm_member(g, r, comm);
@@ -1371,7 +1331,7 @@ void Engine::api_comm_free(Rank r, CommId comm) {
   // MPI_Comm_free is collective over the communicator: synchronize all
   // members (all-style), then release it exactly once.
   {
-    EngineGuard g(lock_, r);
+    EngineGuard g(lock_);
     check_abort(g);
     if (comm == kCommWorld) {
       throw_program_error(g, r, "cannot free MPI_COMM_WORLD");
@@ -1387,7 +1347,7 @@ void Engine::api_comm_free(Rank r, CommId comm) {
 
 void Engine::api_pcontrol(Rank r, int level, const std::string& what) {
   {
-    EngineGuard g(lock_, r);
+    EngineGuard g(lock_);
     check_abort(g);
     charge_op(g, r);
     stats_.bump(OpCategory::kOther, r);
@@ -1397,7 +1357,7 @@ void Engine::api_pcontrol(Rank r, int level, const std::string& what) {
 }
 
 void Engine::api_compute(Rank r, double us) {
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   charge_op(g, r);
   pr(r).vt_add(us);
@@ -1416,27 +1376,26 @@ void Engine::api_fail(Rank r, const std::string& message) {
 // Translation / introspection
 // ---------------------------------------------------------------------------
 //
-// Comm-table writers hold *all* shards, so holding any one shard yields a
-// consistent read; these rank-less accessors pin shard 0. (Global mode:
-// shard 0 is the one mutex, preserving the old behaviour exactly.)
+// Called from tool hooks, which run outside the engine's critical section;
+// each takes the engine mutex for a consistent comm-table read.
 
 int Engine::comm_size_of(CommId comm) {
-  EngineGuard g(lock_, Rank{0});
+  EngineGuard g(lock_);
   return comms_.get(comm).size();
 }
 
 Rank Engine::comm_rank_of(CommId comm, Rank world) {
-  EngineGuard g(lock_, Rank{0});
+  EngineGuard g(lock_);
   return comms_.to_rel(comm, world);
 }
 
 Rank Engine::to_world(CommId comm, Rank rel) {
-  EngineGuard g(lock_, Rank{0});
+  EngineGuard g(lock_);
   return comms_.to_world(comm, rel);
 }
 
 Rank Engine::to_rel(CommId comm, Rank world) {
-  EngineGuard g(lock_, Rank{0});
+  EngineGuard g(lock_);
   return comms_.to_rel(comm, world);
 }
 
@@ -1446,10 +1405,9 @@ Rank Engine::to_rel(CommId comm, Rank world) {
 
 RequestId Engine::raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
                             Bytes payload) {
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   const Rank dst_world = comms_.to_world(comm, dst);
-  g.add(dst_world);
   // Tool sends are eager and auto-consumed: piggyback senders never wait
   // on them (the paper's pb sends are waited trivially in MPI_Wait).
   do_isend(g, r, dst_world, tag, comm, std::move(payload), true,
@@ -1458,14 +1416,14 @@ RequestId Engine::raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
 }
 
 RequestId Engine::raw_irecv(Rank r, Rank src, Tag tag, CommId comm) {
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   const Rank src_world = comms_.to_world(comm, src);
   return do_irecv(g, r, src_world, tag, comm, true);
 }
 
 Status Engine::raw_wait(Rank r, RequestId req, Bytes* out) {
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   DAMPI_CHECK_MSG(pr(r).reqs.find(req) != pr(r).reqs.end(),
                   "raw_wait on invalid request");
@@ -1480,19 +1438,19 @@ Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
 
 bool Engine::raw_iprobe(Rank r, Rank src, Tag tag, CommId comm,
                         Status* status) {
-  EngineGuard g(lock_, r);
+  EngineGuard g(lock_);
   check_abort(g);
   const Rank src_world = comms_.to_world(comm, src);
   const Envelope* env = nullptr;
   if (src_world == kAnySource) {
     std::vector<MatchCandidate>& cands = pr(r).cand_buf;
-    pr(r).match->wildcard_candidates(tag, comm, &cands);
+    pr(r).match.wildcard_candidates(tag, comm, &cands);
     if (!cands.empty()) {
       // Deterministic head (lowest source) — tool drains need no policy.
-      env = pr(r).match->find_by_id(cands.front().msg_id);
+      env = pr(r).match.find_by_id(cands.front().msg_id);
     }
   } else {
-    env = pr(r).match->find_specific(src_world, tag, comm);
+    env = pr(r).match.find_specific(src_world, tag, comm);
   }
   if (env == nullptr) {
     sched_->yield(g, r);
@@ -1517,23 +1475,22 @@ CommId Engine::raw_comm_dup(Rank r, CommId comm) {
   CollUserResult result = collective_impl(r, CollKind::kCommDup, comm, 0, {},
                                           {}, /*tool_internal=*/true, nullptr);
   // Mark the product tool-internal (exempt from leak accounting). Every
-  // participant executes this; the flag write is idempotent. Comm-table
-  // writes take the all-shards section.
-  EngineGuard g(lock_, EngineGuard::kAllShards);
+  // participant executes this; the flag write is idempotent.
+  EngineGuard g(lock_);
   comms_.mark_tool_internal(result.new_comm);
   return result.new_comm;
 }
 
 void Engine::add_cost(Rank r, double us) {
   // Called by tools in rank r's own execution context: the clock is
-  // single-writer, so this needs no shard.
+  // single-writer, so this needs no lock.
   pr(r).vt_add(us);
 }
 
 double Engine::vtime_of(Rank r) { return pr(r).vt(); }
 
 // ---------------------------------------------------------------------------
-// Tool hook dispatch (no shards held: hooks may re-enter)
+// Tool hook dispatch (engine mutex not held: hooks may re-enter)
 // ---------------------------------------------------------------------------
 
 void Engine::hooks_init(Rank r) {

@@ -1,19 +1,14 @@
 // Engine: internal implementation of the mpism runtime.
 //
-// Shared state is guarded by an EngineLock (engine_lock.hpp): either one
-// global mutex (the pre-shard baseline, --engine-lock global) or
-// per-destination-rank shards (the default). Under sharding, everything
-// owned by rank r — its match index, unexpected/posted queues, request
-// table, pools, virtual clock, and block/wake bookkeeping — lives behind
-// shard r; a send acquires the {sender, receiver} shard pair in
-// ascending order; collectives, communicator management, and the
-// count-based deadlock scan take all shards (ascending); verdict flags,
-// counters, and id assignment are atomics. How ranks execute — one OS
-// thread each, or cooperative fibers multiplexed run-to-block onto the
-// calling thread, in which case the engine takes no lock at all — is
-// delegated to a pluggable RankScheduler
-// (mpism/scheduler.hpp); the engine only tells it when a rank blocks and
-// whose wake predicate may have flipped. Matching is *eager*: every send
+// Shared state is guarded by one engine mutex (EngineLock,
+// engine_lock.hpp): every MPI call, collective, communicator operation
+// and the count-based deadlock scan runs under it; verdict flags,
+// counters, and id assignment are atomics so that cancellation and the
+// watchdog never need it. How ranks execute — one OS thread each, or
+// cooperative fibers multiplexed run-to-block onto the calling thread,
+// in which case the engine takes no lock at all — is delegated to a
+// pluggable RankScheduler (mpism/scheduler.hpp); the engine only tells
+// it when a rank blocks and whose wake predicate may have flipped. Matching is *eager*: every send
 // is matched against posted receives at injection time and every receive
 // against queued sends at post time, so the invariant "no pending posted
 // receive is compatible with any queued unexpected message" holds at all
@@ -127,12 +122,11 @@ class Engine {
   struct PerRank {
     /// Pools are declared before the request table and match index so
     /// they outlive the structures that release into them at teardown.
-    /// Owned by this rank's shard (every access holds it).
     SlabPool<RequestRecord> req_pool;
     BufferPool buf_pool;
-    /// Virtual clock. Single-writer (the owning rank, under its shard);
-    /// read cross-shard by budget charges and the final report, so it is
-    /// atomic with relaxed ordering.
+    /// Virtual clock. Single-writer (the owning rank); read by other
+    /// ranks' budget charges and by tools without the engine mutex, so
+    /// it is atomic with relaxed ordering.
     std::atomic<double> vtime{0.0};
     bool finished = false;
     bool blocked = false;
@@ -142,17 +136,17 @@ class Engine {
     /// detector so a satisfied-but-not-yet-woken rank is not misread as
     /// stuck.
     std::function<bool()> block_pred;
-    /// Unexpected-message and posted-receive queues (linear or indexed,
-    /// per RunOptions::match). Holds non-owning pointers into `reqs` for
-    /// posted receives; a record stays indexed until matched.
-    std::unique_ptr<MatchIndex> match;
+    /// Unexpected-message and posted-receive queues. Holds non-owning
+    /// pointers into `reqs` for posted receives; a record stays indexed
+    /// until matched.
+    MatchIndex match;
     /// Wildcard-candidate out-buffer, reused across queries so the hot
     /// path stops allocating a vector per receive/probe.
     std::vector<MatchCandidate> cand_buf;
     std::unordered_map<RequestId, PoolPtr<RequestRecord>> reqs;
     std::unordered_map<CommId, std::uint64_t> coll_gen;
-    /// Per-(dst, comm) send sequence counters, owned by the *sender*
-    /// shard (key packs dst and comm).
+    /// Per-(dst, comm) send sequence counters of this rank as *sender*
+    /// (key packs dst and comm).
     std::unordered_map<std::uint64_t, std::uint64_t> seq_counters;
     std::vector<std::unique_ptr<ToolLayer>> tools;
     std::unique_ptr<ToolCtx> ctx;
@@ -190,9 +184,7 @@ class Engine {
     CommId dup_comm = kCommNull;
   };
 
-  // Internal primitives; `g` must cover the shards named per method (at
-  // minimum shard r; do_isend additionally dst_world; collective paths
-  // hold all shards).
+  // Internal primitives; `g` holds the engine mutex.
   RequestId do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
                      CommId comm, Bytes payload, bool tool_internal,
                      bool synchronous, SendInfo* info);
@@ -203,12 +195,11 @@ class Engine {
   /// Runs post_wait hooks (guard dropped) and consumes the request.
   Status finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
                         bool run_hooks);
-  /// Try to match a newly arrived envelope against dst's posted receives
-  /// (guard must cover shard dst). Returns true when matched (request
-  /// completed).
+  /// Try to match a newly arrived envelope against dst's posted receives.
+  /// Returns true when matched (request completed).
   bool match_arrival(Rank dst, Envelope&& env);
   void complete_recv(Rank r, RequestRecord& rec, Envelope&& env);
-  /// Fresh pooled request record from r's slab (shard r held).
+  /// Fresh pooled request record from r's slab.
   PoolPtr<RequestRecord> new_request(PerRank& me);
 
   /// Enter the blocked state and wait for `pred`; throws AbortRun when the
@@ -216,21 +207,20 @@ class Engine {
   template <typename Pred>
   void blocking_wait(EngineGuard& g, Rank r, BlockKind kind, std::string desc,
                      Pred pred);
-  /// Called right before a rank would block (or after it finishes); if
-  /// every other live rank is already blocked, declares a deadlock.
-  /// Escalates `g` to all shards for the scan (dropping and retaking it
-  /// when it holds fewer). A no-op under schedulers that detect stalls
-  /// themselves (coop): there a rank can be runnable-but-unscheduled,
-  /// which this count-based check cannot see, so the scheduler's
-  /// no-candidate scan is authoritative.
-  void maybe_declare_deadlock(EngineGuard& g, Rank r);
-  /// Declares the deadlock verdict; `g` must hold all shards.
-  void declare_deadlock(EngineGuard& g);
+  /// Called with the engine mutex held right before a rank would block
+  /// (or after it finishes); if every other live rank is already
+  /// blocked, declares a deadlock. A no-op under schedulers that detect
+  /// stalls themselves (coop): there a rank can be runnable-but-
+  /// unscheduled, which this count-based check cannot see, so the
+  /// scheduler's no-candidate scan is authoritative.
+  void maybe_declare_deadlock();
+  /// Declares the deadlock verdict; the engine mutex must be held.
+  void declare_deadlock();
   /// Watchdog verdict: a per-run budget expired. Idempotent; loses to an
   /// already-declared abort/deadlock. Takes the verdict mutex itself;
-  /// callable with or without shards held.
+  /// callable with or without the engine mutex held.
   void declare_timeout(std::string reason);
-  /// Budget accounting at MPI-call entry (shard r held): counts the op,
+  /// Budget accounting at MPI-call entry (engine mutex held): counts the op,
   /// checks the op/vtime/wall budgets, and unwinds via AbortRun when one
   /// expired. A single predicted-false branch when no budget is armed;
   /// the wall-clock read is amortized over a 32-op stride.
@@ -244,7 +234,7 @@ class Engine {
            deadlocked_.load(std::memory_order_acquire);
   }
 
-  // Tool hook dispatch (no shards held: hooks may re-enter).
+  // Tool hook dispatch (engine mutex not held: hooks may re-enter).
   void hooks_init(Rank r);
   void hooks_finalize(Rank r);
   void hooks_pre_isend(Rank r, SendCall& call);
@@ -287,14 +277,11 @@ class Engine {
   std::unique_ptr<RankScheduler> sched_;
   EngineLock lock_;
   std::vector<std::unique_ptr<PerRank>> ranks_;
-  /// Guarded by all-shards sections for writes; readers hold any shard
-  /// (writers exclude them by holding every shard).
   CommTable comms_;
-  /// choose() mutates the policy RNG; serialized by a leaf mutex so
-  /// wildcard draws stay well-defined under sharded locking.
+  /// choose() mutates the policy RNG; serialized by a leaf mutex.
   std::mutex policy_mu_;
   std::unique_ptr<MatchPolicy> policy_;
-  /// Collective bookkeeping: only touched under all-shards sections.
+  /// Collective bookkeeping.
   std::map<std::pair<CommId, std::uint64_t>, CollSlot> coll_slots_;
   std::atomic<std::uint64_t> next_msg_id_{1};
   std::atomic<RequestId> next_req_id_{1};
@@ -305,7 +292,7 @@ class Engine {
   std::atomic<bool> deadlocked_{false};
   std::atomic<bool> timed_out_{false};
   std::atomic<bool> cancelled_{false};
-  /// Leaf mutex (ordered after all shards) guarding the verdict strings
+  /// Leaf mutex (ordered after the engine mutex) guarding the verdict strings
   /// and one-winner arbitration between deadlock/timeout/cancel/error.
   std::mutex verdict_mu_;
   std::string stop_reason_;
@@ -318,7 +305,7 @@ class Engine {
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> tool_messages_{0};
   std::atomic<std::uint64_t> request_leaks_{0};
-  /// Per-rank slots are written under the owning rank's shard; the
+  /// Per-rank slots are written under the engine mutex; the
   /// tool-message total lives in tool_messages_ above (cross-rank).
   OpStats stats_;
   /// Envelope small-buffer counters (published as engine.envelope.*).

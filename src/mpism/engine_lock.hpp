@@ -1,145 +1,83 @@
-// Engine locking strategies: one global mutex vs. destination-rank shards.
+// Engine locking: one mutex guards all engine state, and a
+// single-threaded engine takes none.
 //
-// The engine's shared state decomposes almost perfectly by destination
-// rank: the match index, unexpected/posted queues, request table, pools,
-// and block/wake bookkeeping of rank r are only ever touched by code that
-// is operating *on* rank r (its own thread, or a sender delivering into
-// r's queues). Sharding the engine mutex by rank therefore lets a send
-// from 0→1 proceed concurrently with a wait on rank 2 — the old global
-// mutex serialized them. Cross-cutting state (verdict flags, budgets,
-// msg-id assignment, virtual clocks) moves to atomics; the few genuinely
-// global operations (collectives, communicator create/free, the
-// count-based deadlock scan) briefly take *all* shards in ascending rank
-// order.
-//
-// Lock-ordering rule (deadlock freedom): shard mutexes are only ever
-// acquired in ascending rank index. A guard holding shard a that needs
-// shard b < a releases everything and reacquires {b, a} in order
-// (EngineGuard::add reports this drop so callers can re-validate
-// references). Below the shards sit only leaf mutexes — the engine's
-// verdict mutex, the policy RNG mutex, and the scheduler's per-rank
-// waiter mutexes — none of which are ever held while taking a shard.
-//
-// kGlobal degenerates every guard form to the single mutex, preserving
-// the pre-shard engine behaviour as a compiled-in differential baseline
-// (RunOptions::engine_lock / --engine-lock / DAMPI_ENGINE_LOCK, mirroring
-// the --match linear-vs-indexed pattern).
+// Under the thread scheduler every rank runs on its own OS thread, and
+// each engine entry (an MPI call, a collective, the count-based deadlock
+// scan, a tool's comm-table query) holds the one engine mutex for its
+// critical section. Cross-cutting state (verdict flags, budgets, msg-id
+// assignment, virtual clocks) lives in atomics so that paths outside a
+// run (Engine::cancel, the watchdog) never need the mutex. Below it sit
+// only leaf mutexes — the engine's verdict mutex, the policy RNG mutex,
+// and the scheduler's per-rank waiter mutexes — none of which are ever
+// held while taking the engine mutex.
 //
 // Single-threaded engines take no lock at all. When the scheduler that
 // was built runs every rank of the engine on one host thread
 // (RankScheduler::runs_on_one_thread — the coop fibers), no two engine
-// critical sections can ever overlap, so every guard form (one shard, a
-// pair, all shards, and the unlock()/lock() around parking) becomes a
-// no-op and the lock kind is moot. Threads outside the run may still
-// enter the engine, but only through paths that never take a shard
-// (Engine::cancel: the verdict mutex, atomics, and scheduler wake hints).
+// critical sections can ever overlap, so every guard, and the
+// unlock()/lock() around parking, is a no-op. Threads outside the run
+// may still enter the engine, but only through paths that never take
+// the engine mutex (Engine::cancel: the verdict mutex, atomics, and
+// scheduler wake hints).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <string>
 
 #include "common/check.hpp"
-#include "mpism/types.hpp"
 
 namespace dampi::mpism {
-
-enum class EngineLockKind {
-  kGlobal,   ///< One mutex guards all engine state (pre-shard baseline).
-  kSharded,  ///< Per-destination-rank shard mutexes + atomics.
-};
 
 class EngineLock {
  public:
   /// `single_thread`: every rank of the engine runs on one host thread,
   /// so the lock is never taken (see the header comment).
-  EngineLock(EngineLockKind kind, int nprocs, bool single_thread)
-      : kind_(kind),
-        nshards_(kind == EngineLockKind::kGlobal ? 1 : nprocs),
-        single_thread_(single_thread) {
-    DAMPI_CHECK(nprocs > 0);
-    if (!single_thread_) {
-      shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(nshards_));
-    }
-  }
-
-  EngineLockKind kind() const { return kind_; }
-  int shards() const { return nshards_; }
+  explicit EngineLock(bool single_thread) : single_thread_(single_thread) {}
 
   /// Contention counters, accumulated relaxed on the hot path and
   /// published to obs once per run (engine.lock.*).
   struct Stats {
-    std::uint64_t acquires = 0;    ///< Shard-mutex lock operations.
-    std::uint64_t contended = 0;   ///< ... that failed the try_lock fast path.
-    std::uint64_t all_shards = 0;  ///< All-shards (global section) entries.
+    std::uint64_t acquires = 0;   ///< Mutex lock operations.
+    std::uint64_t contended = 0;  ///< ... that failed the try_lock fast path.
   };
 
   Stats stats() const {
     Stats s;
     s.acquires = acquires_.load(std::memory_order_relaxed);
     s.contended = contended_.load(std::memory_order_relaxed);
-    s.all_shards = all_shards_.load(std::memory_order_relaxed);
     return s;
   }
 
  private:
   friend class EngineGuard;
 
-  // Cacheline-separated so two ranks hammering adjacent shards do not
-  // false-share the mutex words.
-  struct alignas(64) Shard {
-    std::mutex mu;
-  };
-
-  int shard_of(Rank r) const {
-    return kind_ == EngineLockKind::kGlobal ? 0 : r;
-  }
-
-  void lock_shard(int i) {
-    std::mutex& m = shards_[static_cast<std::size_t>(i)].mu;
+  void lock() {
+    if (single_thread_) return;
     acquires_.fetch_add(1, std::memory_order_relaxed);
-    if (m.try_lock()) return;
+    if (mu_.try_lock()) return;
     contended_.fetch_add(1, std::memory_order_relaxed);
-    m.lock();
+    mu_.lock();
   }
 
-  void unlock_shard(int i) { shards_[static_cast<std::size_t>(i)].mu.unlock(); }
+  void unlock() {
+    if (!single_thread_) mu_.unlock();
+  }
 
-  EngineLockKind kind_;
-  int nshards_;
   bool single_thread_;
-  std::unique_ptr<Shard[]> shards_;  ///< Null when single_thread_.
+  std::mutex mu_;
   std::atomic<std::uint64_t> acquires_{0};
   std::atomic<std::uint64_t> contended_{0};
-  std::atomic<std::uint64_t> all_shards_{0};
 };
 
-/// RAII ownership of one shard, a (sorted) shard pair, or all shards.
-/// unlock()/lock() release and reacquire the whole held set — that is
-/// what the scheduler's block/yield paths use to park a rank — always in
-/// ascending order. On a single-thread lock every form only tracks
-/// owns(): no mutex is touched and no statistic counted.
+/// RAII ownership of the engine mutex. unlock()/lock() release and
+/// reacquire it — that is what the scheduler's block/yield paths use to
+/// park a rank, and what tool hooks run outside of. On a single-thread
+/// lock the guard only tracks ownership: no mutex is touched and no
+/// statistic counted.
 class EngineGuard {
  public:
-  struct AllShardsTag {};
-  static constexpr AllShardsTag kAllShards{};
-
-  /// Acquires the shard owning rank r (global mode: the one mutex).
-  EngineGuard(EngineLock& l, Rank r) : l_(&l), a_(l.shard_of(r)) {
-    if (!l_->single_thread_) l_->lock_shard(a_);
-    owned_ = true;
-  }
-
-  /// Acquires every shard in ascending order (a global engine section).
-  EngineGuard(EngineLock& l, AllShardsTag) : l_(&l), all_(true) {
-    if (!l_->single_thread_) {
-      l_->all_shards_.fetch_add(1, std::memory_order_relaxed);
-      for (int i = 0; i < l_->nshards_; ++i) l_->lock_shard(i);
-    }
-    owned_ = true;
-  }
+  explicit EngineGuard(EngineLock& l) : l_(&l) { lock(); }
 
   EngineGuard(const EngineGuard&) = delete;
   EngineGuard& operator=(const EngineGuard&) = delete;
@@ -148,88 +86,21 @@ class EngineGuard {
     if (owned_) unlock();
   }
 
-  /// Extends the guard to also cover rank r's shard. Returns false iff
-  /// the held set had to be dropped and reacquired to respect ascending
-  /// order — after a false return, any references resolved under the old
-  /// critical section must be re-validated by the caller.
-  bool add(Rank r) {
-    DAMPI_CHECK(owned_);
-    if (all_ || l_->single_thread_) return true;
-    const int s = l_->shard_of(r);
-    if (s == a_ || s == b_) return true;
-    if (s > (b_ >= 0 ? b_ : a_)) {  // Still ascending: take it directly.
-      DAMPI_CHECK_MSG(b_ < 0, "EngineGuard holds at most two shards");
-      l_->lock_shard(s);
-      b_ = s;
-      return true;
-    }
-    // Out of order: drop everything, reacquire the sorted pair.
-    DAMPI_CHECK_MSG(b_ < 0, "EngineGuard holds at most two shards");
-    l_->unlock_shard(a_);
-    const int lo = s < a_ ? s : a_;
-    const int hi = s < a_ ? a_ : s;
-    l_->lock_shard(lo);
-    l_->lock_shard(hi);
-    a_ = lo;
-    b_ = hi;
-    return false;
-  }
-
-  /// Releases the entire held set (for parking in the scheduler, or for
-  /// running tool hooks outside the engine's critical section).
   void unlock() {
     DAMPI_CHECK(owned_);
     owned_ = false;
-    if (l_->single_thread_) return;
-    if (all_) {
-      for (int i = l_->nshards_ - 1; i >= 0; --i) l_->unlock_shard(i);
-    } else {
-      if (b_ >= 0) l_->unlock_shard(b_);
-      l_->unlock_shard(a_);
-    }
+    l_->unlock();
   }
 
-  /// Reacquires the same set, ascending.
   void lock() {
     DAMPI_CHECK(!owned_);
+    l_->lock();
     owned_ = true;
-    if (l_->single_thread_) return;
-    if (all_) {
-      for (int i = 0; i < l_->nshards_; ++i) l_->lock_shard(i);
-    } else {
-      l_->lock_shard(a_);
-      if (b_ >= 0) l_->lock_shard(b_);
-    }
-  }
-
-  bool owns() const { return owned_; }
-  /// True when this guard covers every shard (a global section): an
-  /// all-shards guard, any guard on the one global mutex, or any guard
-  /// on a single-thread lock, whose one host thread owns all engine
-  /// state whenever it runs engine code.
-  bool all() const {
-    return all_ || l_->nshards_ == 1 || l_->single_thread_;
   }
 
  private:
   EngineLock* l_;
-  bool all_ = false;
   bool owned_ = false;
-  int a_ = -1;  ///< First held shard index.
-  int b_ = -1;  ///< Second held shard index (pair guards only), > a_.
 };
-
-/// Parse "global" | "sharded". Returns false (leaving out untouched) on
-/// anything else.
-bool parse_engine_lock_spec(const std::string& spec, EngineLockKind* out);
-
-/// Canonical spec string (inverse of parse).
-std::string engine_lock_spec(EngineLockKind kind);
-
-/// Process-wide default: kSharded unless the DAMPI_ENGINE_LOCK
-/// environment variable holds a valid spec (read once, cached). Lets
-/// tier-1 re-run the full suite on the global-mutex baseline without
-/// touching every call site.
-EngineLockKind default_engine_lock_kind();
 
 }  // namespace dampi::mpism

@@ -177,9 +177,8 @@ struct Envelope {
   RequestId sender_req = kNullRequest;
   Rank sender_world = -1;
   /// Direct pointer to the sender's request record for synchronous
-  /// sends (slab storage, address-stable for the run). Under sharded
-  /// locking the receiver completes the rendezvous through this
-  /// pointer's atomics without touching the sender's shard.
+  /// sends (slab storage, address-stable for the run). The receiver
+  /// completes the rendezvous through this pointer's atomics.
   RequestRecord* sender_rec = nullptr;
 };
 

@@ -1,30 +1,26 @@
-// Message-matching structures for the engine: the unexpected-message
-// queue and the posted-receive queue behind one interface, with two
-// implementations.
+// Message-matching structure for the engine: the unexpected-message
+// queue and the posted-receive queue of one rank.
 //
-//  - LinearMatchIndex: the original deque walk. O(queue length) per
-//    lookup; kept compiled in as the differential oracle (select with
-//    DAMPI_MATCH=linear) because its correctness is self-evident.
-//  - IndexedMatchIndex: per-source FIFO lanes hashed by (comm, tag,
-//    src) plus (comm, src), so specific-receive lookup, removal by
-//    msg_id, and posted-receive matching are O(1) amortized and
-//    wildcard candidates are read off precomputed lane heads instead of
-//    rescanning the queue. Lane nodes come from a slab pool
-//    (allocation-free steady state). Shallow queues (< 32 entries,
-//    separately for unexpected and posted) run the linear algorithms
-//    unchanged — hashing costs more than a three-entry scan — and the
-//    structure migrates to lanes permanently the first time a queue
-//    crosses the threshold.
+// Per-source FIFO lanes hashed by (comm, tag, src) plus (comm, src)
+// make specific-receive lookup, removal by msg_id, and posted-receive
+// matching O(1) amortized, and wildcard candidates are read off
+// precomputed lane heads instead of rescanning the queue. Lane nodes
+// come from a slab pool (allocation-free steady state). Shallow queues
+// (< 32 entries, separately for unexpected and posted) run plain deque
+// walks instead — hashing costs more than a three-entry scan — and the
+// structure migrates to lanes permanently the first time a queue
+// crosses the threshold.
 //
-// Equivalence contract (what the differential fuzz asserts): both
-// implementations must produce identical results for every query —
-// same candidate vectors (sorted by source, earliest message per
-// source), same find_specific winner, same earliest-posted receive from
-// match_posted — because the engine's visible behaviour (wildcard
-// nondeterminism included) is a function of exactly these answers.
+// Contract (what the differential fuzz in tests/test_match_index.cpp
+// asserts against the linear oracle in tests/support/): every query
+// answers exactly as the original deque walk would — same candidate
+// vectors (sorted by source, earliest message per source), same
+// find_specific winner, same earliest-posted receive from match_posted
+// — because the engine's visible behaviour (wildcard nondeterminism
+// included) is a function of exactly these answers.
 //
-// Key invariants the indexed structure leans on (engine holds one
-// global mutex around all of this):
+// Key invariants the lanes lean on (the engine mutex is held around all
+// of this):
 //  - Arrival order within one rank's unexpected queue == msg_id order:
 //    msg_id assignment and queue insertion happen in the same critical
 //    section, so lane heads can be compared by msg_id to find the
@@ -37,12 +33,12 @@
 //    the earliest-posted compatible receive is the min-post-seq head of
 //    those four.
 //
-// All methods assume the engine mutex is held. Not thread-safe.
+// Not thread-safe.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mpism/envelope.hpp"
@@ -53,48 +49,51 @@
 
 namespace dampi::mpism {
 
-enum class MatchKind { kLinear, kIndexed };
-
-/// Parses "linear" / "indexed" into *out (untouched on failure).
-bool parse_match_spec(const std::string& spec, MatchKind* out);
-const char* match_spec(MatchKind kind);
-/// Process default: indexed, unless DAMPI_MATCH says otherwise.
-MatchKind default_match_kind();
-
 /// One rank's matching state: queued unexpected messages (owned) and
 /// pending posted receives (non-owning pointers into the engine's
 /// request table; a record stays indexed until match_posted removes it).
 class MatchIndex {
  public:
-  virtual ~MatchIndex() = default;
+  MatchIndex();
+  ~MatchIndex();
+  MatchIndex(const MatchIndex&) = delete;
+  MatchIndex& operator=(const MatchIndex&) = delete;
 
   // --- unexpected-message queue ---------------------------------------
-  virtual void push_unexpected(Envelope&& env) = 0;
+  void push_unexpected(Envelope&& env);
   /// Earliest compatible message from a concrete source (tool traffic
   /// included). Pointer valid until the next mutation.
-  virtual const Envelope* find_specific(Rank src_world, Tag tag,
-                                        CommId comm) const = 0;
+  const Envelope* find_specific(Rank src_world, Tag tag, CommId comm) const;
   /// The queued message with this id, or nullptr.
-  virtual const Envelope* find_by_id(std::uint64_t msg_id) const = 0;
+  const Envelope* find_by_id(std::uint64_t msg_id) const;
   /// True iff wildcard_candidates would be non-empty (cheaper).
-  virtual bool has_candidates(Tag tag, CommId comm) const = 0;
+  bool has_candidates(Tag tag, CommId comm) const;
   /// Per-source earliest compatible *user* message, sorted by source.
   /// Clears and fills `out` (caller-owned buffer, reused across calls).
-  virtual void wildcard_candidates(Tag tag, CommId comm,
-                                   std::vector<MatchCandidate>* out) const = 0;
+  void wildcard_candidates(Tag tag, CommId comm,
+                           std::vector<MatchCandidate>* out) const;
   /// Removes and returns the message with this id (checks it exists).
-  virtual Envelope take(std::uint64_t msg_id) = 0;
+  Envelope take(std::uint64_t msg_id);
 
   // --- posted-receive queue -------------------------------------------
-  virtual void post_recv(RequestRecord* rec) = 0;
+  void post_recv(RequestRecord* rec);
   /// Removes and returns the earliest-posted receive compatible with
   /// `env`, or nullptr when none is.
-  virtual RequestRecord* match_posted(const Envelope& env) = 0;
+  RequestRecord* match_posted(const Envelope& env);
 
-  /// Lane-node pool stats (zero for the linear matcher).
-  virtual PoolStats pool_stats() const = 0;
+  /// Lane-node pool stats (zero until a queue first migrates to lanes).
+  PoolStats pool_stats() const;
+
+ private:
+  struct Lanes;
+
+  // Small-queue mode: deque walks until the queue first crosses the
+  // threshold, then lanes forever (see the header comment).
+  std::deque<Envelope> small_;
+  std::deque<RequestRecord*> small_posted_;
+  bool migrated_ = false;
+  bool posted_migrated_ = false;
+  std::unique_ptr<Lanes> lanes_;  ///< null until the first migration
 };
-
-std::unique_ptr<MatchIndex> make_match_index(MatchKind kind);
 
 }  // namespace dampi::mpism

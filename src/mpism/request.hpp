@@ -26,10 +26,9 @@ struct RequestRecord {
   CommId comm = kCommWorld;
 
   /// True once matched (recv) / injected (send). Eager sends complete at
-  /// creation time. Atomic because under sharded locking a synchronous
-  /// send completes *cross-shard*: the receiver publishes completion
-  /// through Envelope::sender_rec (store-release) without holding the
-  /// sender's shard, and the sender's wake predicate load-acquires it.
+  /// creation time. Atomic because a synchronous send is completed by
+  /// the receiving rank through Envelope::sender_rec (store-release),
+  /// and the sender's wake predicate load-acquires it.
   std::atomic<bool> complete{false};
   /// True once consumed by wait/test; consumed requests are removed from
   /// the table (leak accounting counts unconsumed ones at finalize).

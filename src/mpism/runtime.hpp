@@ -7,8 +7,6 @@
 
 #include "mpism/cancel.hpp"
 #include "mpism/cost_model.hpp"
-#include "mpism/engine_lock.hpp"
-#include "mpism/match_index.hpp"
 #include "mpism/policy.hpp"
 #include "mpism/proc.hpp"
 #include "mpism/report.hpp"
@@ -34,14 +32,6 @@ struct RunOptions {
   /// How ranks execute and who advances next (thread-per-rank, or
   /// deterministic run-to-block fibers). Defaults honor DAMPI_SCHED.
   SchedOptions sched = default_sched_options();
-  /// Message-matching structure: indexed O(1) lanes (default) or the
-  /// linear scan kept as the differential oracle. Honors DAMPI_MATCH.
-  MatchKind match = default_match_kind();
-  /// Engine concurrency control: per-destination-rank lock shards
-  /// (default) or the single global mutex kept as the differential
-  /// baseline. Honors DAMPI_ENGINE_LOCK. Verdicts and RunReport
-  /// fingerprints are identical across modes.
-  EngineLockKind engine_lock = default_engine_lock_kind();
   /// Interposition stack; empty means a native (uninstrumented) run.
   ToolSetup tools;
   /// Per-run budgets, all 0 = unlimited. A run that exceeds any of them

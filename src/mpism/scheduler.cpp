@@ -40,11 +40,11 @@ namespace {
 // (the engine's original execution model, kept for differential testing
 // and for sanitized builds).
 //
-// The park/wake protocol is an eventcount rather than a cv-on-the-engine
-// -mutex because the engine mutex may be *sharded*: a waker completing a
-// rendezvous or declaring a verdict publishes through atomics without
-// holding the sleeper's shard, so the sleeper cannot rely on "predicate
-// flips happen under my lock". Instead each rank has {mutex, cv, gen}:
+// The park/wake protocol is an eventcount rather than a cv on the engine
+// mutex because not every predicate flip happens under that mutex: a
+// waker declaring a verdict (cancel, watchdog) publishes through atomics
+// without holding it, so the sleeper cannot rely on "predicate flips
+// happen under my lock". Instead each rank has {mutex, cv, gen}:
 //
 //   parker:  check pred (guard held) → snapshot gen (waiter mutex) →
 //            re-check pred → drop guard → wait until gen != snapshot →
@@ -55,8 +55,8 @@ namespace {
 // state: if the waker bumped gen before our snapshot, the waiter-mutex
 // acquire synchronizes-with its release, making the published state
 // visible to the re-check; if it bumps after, the wait observes the gen
-// change. Shard-published state is simpler still — the waker needs our
-// shard, which we hold until the park actually drops it.
+// change. State published under the engine mutex is simpler still — the
+// waker needs the mutex, which we hold until the park actually drops it.
 // ---------------------------------------------------------------------------
 
 class ThreadScheduler final : public RankScheduler {
@@ -225,7 +225,7 @@ class CoopScheduler final : public RankScheduler {
     while (!(cb_->wake_ready(r) || cb_->stop())) {
       f.state = State::kBlocked;
       // The fiber must release its engine guard before swapping: the
-      // next dispatched rank may need the same shard, and it runs on
+      // next dispatched rank may need the engine mutex, and it runs on
       // this very OS thread.
       g.unlock();
       swapcontext(&f.ctx, &sched_ctx_);

@@ -15,23 +15,22 @@
 //    run-to-block discipline of centralized-scheduler verifiers (ISP,
 //    MPI-SV) applied to the paper's eager-matching simulator.
 //
-// Contract: the engine's state is guarded by an EngineLock (one global
-// mutex, or per-rank shards — see engine_lock.hpp). `block`/`yield` are
-// called by a rank holding an EngineGuard over its state and return with
-// the same guard held once `wake_ready(rank)` or `stop()` is true; the
-// scheduler releases and reacquires the guard around the actual park
-// (both no-ops when runs_on_one_thread() made the engine lock-free).
-// `wake`/`wake_all` may be called from any thread, with or without
-// shards held (they only touch scheduler-internal leaf state), and are
-// hints — a scheduler may wake spuriously but must never lose a wakeup.
+// Contract: the engine's state is guarded by one engine mutex (an
+// EngineLock — see engine_lock.hpp). `block`/`yield` are called by a
+// rank holding an EngineGuard on it and return with the same guard held
+// once `wake_ready(rank)` or `stop()` is true; the scheduler releases
+// and reacquires the guard around the actual park (both no-ops when
+// runs_on_one_thread() made the engine lock-free). `wake`/`wake_all` may
+// be called from any thread, with or without the engine mutex held (they
+// only touch scheduler-internal leaf state), and are hints — a
+// scheduler may wake spuriously but must never lose a wakeup.
 // `wake_ready(r)` is only ever evaluated by rank r itself under its own
 // guard (ThreadScheduler) or by the single dispatch thread
 // (CoopScheduler), so the predicate reads rank-r state race-free. Under
 // the coop scheduler a stall (no runnable rank, not all finished) is
-// reported through `on_stall`, which must acquire whatever engine locks
-// it needs itself; with eager matching this is an exact deadlock
-// criterion, replacing the engine's own count-based check (see
-// Engine::maybe_declare_deadlock).
+// reported through `on_stall`, which must take the engine guard itself;
+// with eager matching this is an exact deadlock criterion, replacing the
+// engine's own count-based check (see Engine::maybe_declare_deadlock).
 #pragma once
 
 #include <chrono>
@@ -115,7 +114,7 @@ class RankScheduler {
   }
   /// Hints that r's wake predicate may have flipped. Callable from any
   /// thread; takes only scheduler-leaf locks, so it is safe (and usual)
-  /// to call while holding engine shards.
+  /// to call while holding the engine mutex.
   virtual void wake(Rank r) = 0;
   virtual void wake_all() = 0;
   /// True when this scheduler performs its own stall (deadlock)

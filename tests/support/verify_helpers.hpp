@@ -34,8 +34,6 @@ inline SingleRunResult run_dampi_once(const core::ExplorerOptions& options,
   run_options.policy = options.policy;
   run_options.policy_seed = options.policy_seed;
   run_options.sched = options.sched;
-  run_options.match = options.match;
-  run_options.engine_lock = options.engine_lock;
   run_options.tools = core::make_dampi_setup(shared, board);
   SingleRunResult out;
   {

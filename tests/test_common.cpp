@@ -48,6 +48,21 @@ TEST(Stats, RunningStatMoments) {
   EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
 }
 
+TEST(Stats, HistogramQuantilesStayInsideTheObservedRange) {
+  Histogram h(1.0, 32);
+  for (int i = 0; i < 10; ++i) h.add(1250.0);
+  // 1250 lands in the bucket whose upper limit is 2048.
+  EXPECT_DOUBLE_EQ(h.quantile_bound(0.5), 1250.0);
+  EXPECT_DOUBLE_EQ(h.quantile_bound(0.99), 1250.0);
+  EXPECT_NE(h.str().find("p50<=1.25e+03"), std::string::npos) << h.str();
+
+  // A spread keeps its bucket bounds where they lie inside the range.
+  Histogram spread(1.0, 32);
+  for (double x : {3.0, 3.0, 3.0, 100.0}) spread.add(x);
+  EXPECT_DOUBLE_EQ(spread.quantile_bound(0.5), 4.0);
+  EXPECT_DOUBLE_EQ(spread.quantile_bound(1.0), 100.0);
+}
+
 TEST(Stats, TextTableAlignsColumns) {
   TextTable t;
   t.header({"a", "long-header"});

@@ -2,7 +2,7 @@
 // in-process (discovery -> split_frontier -> per-shard walks -> escape
 // routing -> CampaignMerge) must reproduce the single-process walk's
 // interleaving set exactly — same count, same schedule multiset, same
-// bugs — for every shard width, scheduler, and matcher. Plus the
+// bugs — for every shard width, scheduler, and clock mode. Plus the
 // supporting machinery: work-steal carving, journal requeue after a
 // mid-shard cancel, escape_alts checkpoint round-trips, and the wire
 // protocol over a real socketpair.
@@ -181,17 +181,19 @@ FaultCampaign run_sharded_fault_campaign(const ExplorerOptions& base,
   return campaign;
 }
 
-// --- Sharded == unsharded, across widths, schedulers, matchers -------------
+// --- Sharded == unsharded, across widths, schedulers, clock modes ---------
 
 class ShardEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<std::size_t, mpism::SchedulerKind, mpism::MatchKind>> {};
+          std::tuple<std::size_t, mpism::SchedulerKind, core::ClockMode>> {};
 
 TEST_P(ShardEquivalence, CampaignMatchesSingleWalk) {
-  const auto [shards, sched, match] = GetParam();
+  const auto [shards, sched, clock] = GetParam();
   ExplorerOptions options = explorer_options(4);
   options.sched.kind = sched;
-  options.match = match;
+  // Vector clocks also switch on sleep-set pruning (the default POR
+  // mode), so the campaign must reproduce the pruned walk too.
+  options.clock_mode = clock;
 
   ScheduleBag single_bag;
   ExploreResult single = Explorer(options).explore(
@@ -216,8 +218,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{8}),
                        ::testing::Values(mpism::SchedulerKind::kThread,
                                          mpism::SchedulerKind::kCoop),
-                       ::testing::Values(mpism::MatchKind::kLinear,
-                                         mpism::MatchKind::kIndexed)));
+                       ::testing::Values(core::ClockMode::kLamport,
+                                         core::ClockMode::kVector)));
 
 // A buggy program: cross-shard bug dedup must leave exactly the bugs the
 // single walk reports (fig3's single failing interleaving).

@@ -1,19 +1,14 @@
-// Engine-lock equivalence suite (ctest label `enginelock`):
+// Engine-lock suite (ctest label `enginelock`):
 //
-//  - spec round-trip for --engine-lock / DAMPI_ENGINE_LOCK parsing;
-//  - program-level differential: >= 600 randomized small programs run
-//    under the deterministic coop scheduler with both lock modes across
-//    the match sweep, asserting bit-identical RunReport fingerprints
-//    (doubles printed as %a, so "identical" means identical);
-//  - thread-scheduler stress: sharded-lock mode hammered with wildcard
-//    fan-ins and all-pairs cross-rank churn under linear and indexed
-//    matchers — the TSan workout for the shard array, the eventcount
-//    parkers, and the cross-shard rendezvous handshake (label
+//  - thread-scheduler programs: randomized small programs under real
+//    OS threads keep their schedule-independent invariants;
+//  - thread-scheduler stress: wildcard fan-ins and all-pairs cross-rank
+//    churn — the TSan workout for the engine mutex, the eventcount
+//    parkers, and the rendezvous completion handshake (label
 //    `concurrency` puts it in the tier-1 sanitizer sweep);
-//  - deadlock verdict parity: both lock modes reach the same verdict on
-//    the deadlock patterns under both schedulers, bit-identical under
-//    coop;
-//  - observability: the sharded mode accounts lock acquisitions and
+//  - deadlock verdicts on the deadlock patterns under both schedulers,
+//    reproducible bit for bit under coop;
+//  - observability: a thread run accounts lock acquisitions and
 //    envelope inline hits in the metrics registry; a coop run, whose
 //    ranks all share one host thread, takes no engine lock at all.
 #include <gtest/gtest.h>
@@ -33,10 +28,8 @@ namespace {
 
 using dampi::strfmt;
 using mpism::Bytes;
-using mpism::EngineLockKind;
 using mpism::kAnySource;
 using mpism::kAnyTag;
-using mpism::MatchKind;
 using mpism::pack;
 using mpism::RequestId;
 
@@ -69,24 +62,10 @@ std::string fingerprint(const mpism::RunReport& r) {
   return s;
 }
 
-TEST(EngineLockSpec, ParseAndFormatRoundTrip) {
-  EngineLockKind kind = EngineLockKind::kGlobal;
-  ASSERT_TRUE(mpism::parse_engine_lock_spec("sharded", &kind));
-  EXPECT_EQ(kind, EngineLockKind::kSharded);
-  EXPECT_EQ(mpism::engine_lock_spec(kind), "sharded");
-  ASSERT_TRUE(mpism::parse_engine_lock_spec("global", &kind));
-  EXPECT_EQ(kind, EngineLockKind::kGlobal);
-  EXPECT_EQ(mpism::engine_lock_spec(kind), "global");
-  kind = EngineLockKind::kSharded;
-  EXPECT_FALSE(mpism::parse_engine_lock_spec("spin", &kind));
-  EXPECT_FALSE(mpism::parse_engine_lock_spec("", &kind));
-  EXPECT_EQ(kind, EngineLockKind::kSharded);  // failed parse leaves *out alone
-}
-
 // ---------------------------------------------------------------------
 // Randomized program generator: valid-by-construction message soup
 // (receives posted before sends per phase) with wildcard phases, sync
-// sends (the cross-shard rendezvous path), probes, and collectives.
+// sends (the rendezvous path), probes, and collectives.
 
 struct ProgramCase {
   std::uint64_t seed;
@@ -164,20 +143,10 @@ void run_script(mpism::Proc& p,
   }
 }
 
-mpism::RunOptions case_options(const ProgramCase& c, EngineLockKind lock,
-                               MatchKind match,
-                               mpism::SchedulerKind sched_kind) {
+mpism::RunOptions case_options(const ProgramCase& c) {
   mpism::RunOptions options;
   options.nprocs = c.nprocs;
-  options.engine_lock = lock;
-  options.match = match;
-  options.sched.kind = sched_kind;
-  options.sched.seed = c.seed;
-  if (sched_kind == mpism::SchedulerKind::kCoop) {
-    options.sched.pick = (c.seed % 2 == 0)
-                             ? mpism::SchedPolicy::kRoundRobin
-                             : mpism::SchedPolicy::kRandomSeeded;
-  }
+  options.sched.kind = mpism::SchedulerKind::kThread;
   switch (c.seed % 3) {
     case 0: options.policy = mpism::PolicyKind::kLowestSource; break;
     case 1: options.policy = mpism::PolicyKind::kFifoArrival; break;
@@ -187,48 +156,9 @@ mpism::RunOptions case_options(const ProgramCase& c, EngineLockKind lock,
   return options;
 }
 
-// Acceptance bar from the issue: randomized differential suite
-// asserting bit-identical fingerprints global vs sharded across the
-// sched x match sweep. The coop scheduler makes whole runs
-// deterministic, so any behavioral divergence between the one-mutex
-// engine and the sharded engine (matching order, vtime accounting,
-// message counts, verdicts) shows up as a fingerprint mismatch.
-TEST(EngineLockDifferential, CoopFingerprintsIdenticalAcrossMatchSweep) {
-  SKIP_WITHOUT_COOP();
-  int checked = 0;
-  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    ProgramCase c;
-    c.seed = seed * 2654435761u;
-    c.nprocs = 2 + static_cast<int>(seed % 5);  // 2..6
-    c.phases = 2;
-    c.messages_per_phase = 2 * c.nprocs;
-    const auto script = build_script(c);
-    const auto program = [&script, &c](mpism::Proc& p) {
-      run_script(p, script, c.seed + static_cast<std::uint64_t>(p.rank()));
-    };
-    for (const MatchKind match : {MatchKind::kLinear, MatchKind::kIndexed}) {
-      const auto global = run_program(
-          case_options(c, EngineLockKind::kGlobal, match,
-                       mpism::SchedulerKind::kCoop),
-          program);
-      const auto sharded = run_program(
-          case_options(c, EngineLockKind::kSharded, match,
-                       mpism::SchedulerKind::kCoop),
-          program);
-      ASSERT_TRUE(global.ok())
-          << "seed " << seed << ": " << global.deadlock_detail;
-      ASSERT_EQ(fingerprint(global), fingerprint(sharded))
-          << "lock modes diverged at seed " << seed << " (nprocs "
-          << c.nprocs << ", match " << mpism::match_spec(match) << ")";
-      ++checked;
-    }
-  }
-  EXPECT_EQ(checked, 600);
-}
-
-// Thread-scheduler differential: match order is host-timing-dependent,
-// so only schedule-independent invariants are comparable — but those
-// must agree between lock modes.
+// Thread-scheduler programs: match order is host-timing-dependent, so
+// only schedule-independent invariants are checked — every run completes
+// cleanly and sends exactly the scripted messages.
 TEST(EngineLockDifferential, ThreadSchedulerInvariantsAgree) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     ProgramCase c;
@@ -242,36 +172,27 @@ TEST(EngineLockDifferential, ThreadSchedulerInvariantsAgree) {
     const auto program = [&script, &c](mpism::Proc& p) {
       run_script(p, script, c.seed + static_cast<std::uint64_t>(p.rank()));
     };
-    for (const EngineLockKind lock :
-         {EngineLockKind::kGlobal, EngineLockKind::kSharded}) {
-      const auto report = run_program(
-          case_options(c, lock, MatchKind::kIndexed,
-                       mpism::SchedulerKind::kThread),
-          program);
-      ASSERT_TRUE(report.completed)
-          << mpism::engine_lock_spec(lock) << " seed " << seed << ": "
-          << report.deadlock_detail;
-      ASSERT_TRUE(report.errors.empty())
-          << mpism::engine_lock_spec(lock) << " seed " << seed << ": "
-          << report.errors[0].message;
-      EXPECT_EQ(report.messages_sent, expected_messages)
-          << mpism::engine_lock_spec(lock) << " seed " << seed;
-      EXPECT_EQ(report.comm_leaks, 0) << mpism::engine_lock_spec(lock);
-      EXPECT_EQ(report.request_leaks, 0u) << mpism::engine_lock_spec(lock);
-    }
+    const auto report = run_program(case_options(c), program);
+    ASSERT_TRUE(report.completed)
+        << "seed " << seed << ": " << report.deadlock_detail;
+    ASSERT_TRUE(report.errors.empty())
+        << "seed " << seed << ": " << report.errors[0].message;
+    EXPECT_EQ(report.messages_sent, expected_messages) << "seed " << seed;
+    EXPECT_EQ(report.comm_leaks, 0) << "seed " << seed;
+    EXPECT_EQ(report.request_leaks, 0u) << "seed " << seed;
   }
 }
 
 // ---------------------------------------------------------------------
-// Sharded-mode stress under real OS threads — the TSan target. Two
-// traffic shapes hammer the shard array from every rank at once:
+// Stress under real OS threads — the TSan target. Two traffic shapes
+// hammer the engine mutex from every rank at once:
 //
 //  - wildcard fan-in: every rank floods rank 0, which drains the pile
-//    through ANY_SOURCE receives (all senders contend on shard 0 while
-//    rank 0 holds and re-drops it in blocking_wait);
+//    through ANY_SOURCE receives (all senders contend on the mutex
+//    while rank 0 holds and re-drops it in blocking_wait);
 //  - all-pairs churn: every rank posts a receive from and sends to
 //    every other rank each round, with sync sends mixed in so the
-//    cross-shard rendezvous completion handshake runs constantly.
+//    rendezvous completion handshake runs constantly.
 
 void wildcard_fanin(mpism::Proc& p, int rounds, int senders_per_round) {
   const int n = p.size();
@@ -322,43 +243,33 @@ void all_pairs_churn(mpism::Proc& p, int rounds) {
 }
 
 TEST(EngineLockStress, ShardedWildcardFanInUnderThreads) {
-  for (const MatchKind match : {MatchKind::kLinear, MatchKind::kIndexed}) {
-    mpism::RunOptions options;
-    options.nprocs = 6;
-    options.engine_lock = EngineLockKind::kSharded;
-    options.match = match;
-    options.sched.kind = mpism::SchedulerKind::kThread;
-    const auto report = run_program(options, [](mpism::Proc& p) {
-      wildcard_fanin(p, /*rounds=*/6, /*senders_per_round=*/8);
-    });
-    ASSERT_TRUE(report.ok())
-        << mpism::match_spec(match) << ": " << report.deadlock_detail;
-    EXPECT_EQ(report.messages_sent, 6u * 5u * 8u) << mpism::match_spec(match);
-  }
+  mpism::RunOptions options;
+  options.nprocs = 6;
+  options.sched.kind = mpism::SchedulerKind::kThread;
+  const auto report = run_program(options, [](mpism::Proc& p) {
+    wildcard_fanin(p, /*rounds=*/6, /*senders_per_round=*/8);
+  });
+  ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+  EXPECT_EQ(report.messages_sent, 6u * 5u * 8u);
 }
 
 TEST(EngineLockStress, ShardedAllPairsChurnUnderThreads) {
-  for (const MatchKind match : {MatchKind::kLinear, MatchKind::kIndexed}) {
-    mpism::RunOptions options;
-    options.nprocs = 5;
-    options.engine_lock = EngineLockKind::kSharded;
-    options.match = match;
-    options.sched.kind = mpism::SchedulerKind::kThread;
-    const auto report = run_program(options, [](mpism::Proc& p) {
-      all_pairs_churn(p, /*rounds=*/10);
-    });
-    ASSERT_TRUE(report.ok())
-        << mpism::match_spec(match) << ": " << report.deadlock_detail;
-    EXPECT_EQ(report.messages_sent, 10u * 5u * 4u) << mpism::match_spec(match);
-    EXPECT_EQ(report.request_leaks, 0u);
-  }
+  mpism::RunOptions options;
+  options.nprocs = 5;
+  options.sched.kind = mpism::SchedulerKind::kThread;
+  const auto report = run_program(options, [](mpism::Proc& p) {
+    all_pairs_churn(p, /*rounds=*/10);
+  });
+  ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+  EXPECT_EQ(report.messages_sent, 10u * 5u * 4u);
+  EXPECT_EQ(report.request_leaks, 0u);
 }
 
 // ---------------------------------------------------------------------
-// Deadlock verdict parity between lock modes: exact-deadlock detection
-// moved from "hold the one mutex" to "escalate to all shards"; both
-// paths must reach the same verdict, and under coop the whole report
-// (detail text included) must be bit-identical.
+// Deadlock verdicts: simple_deadlock deadlocks under both schedulers
+// (thread: the engine's count-based scan under the mutex; coop: the
+// scheduler's stall detection), and under coop a rerun reproduces the
+// whole report (detail text included) bit for bit.
 TEST(EngineLockDifferential, DeadlockVerdictParity) {
   struct Pattern {
     const char* name;
@@ -378,25 +289,21 @@ TEST(EngineLockDifferential, DeadlockVerdictParity) {
         continue;
       }
       std::optional<std::string> coop_fp;
-      for (const EngineLockKind lock :
-           {EngineLockKind::kGlobal, EngineLockKind::kSharded}) {
+      for (int attempt = 0; attempt < 2; ++attempt) {
         mpism::RunOptions options;
         options.nprocs = pat.nprocs;
-        options.engine_lock = lock;
         options.sched.kind = sched_kind;
         options.policy = mpism::PolicyKind::kFifoArrival;
         const auto report = run_program(options, pat.fn);
         if (std::string(pat.name) == "simple_deadlock") {
-          EXPECT_TRUE(report.deadlocked)
-              << pat.name << " " << mpism::engine_lock_spec(lock);
+          EXPECT_TRUE(report.deadlocked) << pat.name << " run " << attempt;
         }
         if (sched_kind == mpism::SchedulerKind::kCoop) {
           const std::string fp = fingerprint(report);
           if (!coop_fp.has_value()) {
             coop_fp = fp;
           } else {
-            EXPECT_EQ(fp, *coop_fp)
-                << pat.name << ": lock modes disagree under coop";
+            EXPECT_EQ(fp, *coop_fp) << pat.name << ": coop rerun diverged";
           }
         }
       }
@@ -404,54 +311,48 @@ TEST(EngineLockDifferential, DeadlockVerdictParity) {
   }
 }
 
-// The sharded engine publishes lock and envelope accounting: a run must
-// acquire shards, and small payloads must land in the inline arm.
+// A thread-scheduler run publishes lock and envelope accounting: it must
+// acquire the engine mutex, and small payloads must land in the inline
+// arm.
 TEST(EngineLockObs, ShardedRunAccountsLockAndInlineTraffic) {
   auto& reg = obs::Registry::instance();
   reg.reset();
   mpism::RunOptions options;
   options.nprocs = 4;
-  options.engine_lock = EngineLockKind::kSharded;
   options.sched.kind = mpism::SchedulerKind::kThread;
   const auto report = run_program(options, [](mpism::Proc& p) {
     all_pairs_churn(p, /*rounds=*/4);
   });
   ASSERT_TRUE(report.ok()) << report.deadlock_detail;
   EXPECT_GT(reg.counter("engine.lock.acquired").value(), 0u);
-  EXPECT_GT(reg.counter("engine.lock.all_shards").value(), 0u);
   EXPECT_GT(reg.counter("engine.envelope.inline_hits").value(), 0u);
   reg.reset();
 }
 
 // The coop scheduler runs every rank on one host thread, so its engine
-// takes no lock in either mode; the thread scheduler still locks.
+// takes no lock; the thread scheduler does.
 TEST(EngineLockObs, CoopRunTakesNoEngineLockThreadRunDoes) {
   SKIP_WITHOUT_COOP();
   auto& reg = obs::Registry::instance();
-  for (const EngineLockKind lock :
-       {EngineLockKind::kGlobal, EngineLockKind::kSharded}) {
-    for (const auto sched_kind :
-         {mpism::SchedulerKind::kCoop, mpism::SchedulerKind::kThread}) {
-      reg.reset();
-      mpism::RunOptions options;
-      options.nprocs = 4;
-      options.engine_lock = lock;
-      options.sched.kind = sched_kind;
-      const auto report = run_program(options, [](mpism::Proc& p) {
-        all_pairs_churn(p, /*rounds=*/4);
-      });
-      ASSERT_TRUE(report.ok()) << report.deadlock_detail;
-      const std::string what =
-          mpism::engine_lock_spec(lock) +
-          (sched_kind == mpism::SchedulerKind::kCoop ? " coop" : " thread");
-      if (sched_kind == mpism::SchedulerKind::kCoop) {
-        EXPECT_EQ(reg.counter("engine.lock.acquired").value(), 0u) << what;
-        EXPECT_EQ(reg.counter("engine.lock.all_shards").value(), 0u) << what;
-      } else {
-        EXPECT_GT(reg.counter("engine.lock.acquired").value(), 0u) << what;
-      }
-      EXPECT_EQ(reg.counter("engine.runs").value(), 1u) << what;
+  for (const auto sched_kind :
+       {mpism::SchedulerKind::kCoop, mpism::SchedulerKind::kThread}) {
+    reg.reset();
+    mpism::RunOptions options;
+    options.nprocs = 4;
+    options.sched.kind = sched_kind;
+    const auto report = run_program(options, [](mpism::Proc& p) {
+      all_pairs_churn(p, /*rounds=*/4);
+    });
+    ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+    const char* what =
+        sched_kind == mpism::SchedulerKind::kCoop ? "coop" : "thread";
+    if (sched_kind == mpism::SchedulerKind::kCoop) {
+      EXPECT_EQ(reg.counter("engine.lock.acquired").value(), 0u) << what;
+      EXPECT_EQ(reg.counter("engine.lock.contended").value(), 0u) << what;
+    } else {
+      EXPECT_GT(reg.counter("engine.lock.acquired").value(), 0u) << what;
     }
+    EXPECT_EQ(reg.counter("engine.runs").value(), 1u) << what;
   }
   reg.reset();
 }

@@ -46,7 +46,6 @@ using core::ExplorerOptions;
 using core::PorMode;
 using core::Schedule;
 using dampi::strfmt;
-using mpism::MatchKind;
 using mpism::SchedulerKind;
 
 #define SKIP_WITHOUT_COOP()                                              \
@@ -321,9 +320,9 @@ TEST(Por, IndependentPairsCommuteOnRandomPrograms) {
 
 // ---------------------------------------------------------------------
 // 64-seed differential: --por sleep ≡ --por off on bug sets and
-// per-epoch outcome sets, never with more interleavings, across the
-// scheduler x matcher grid under vector clocks (the mode where pruning
-// actually fires).
+// per-epoch outcome sets, never with more interleavings, across both
+// schedulers under vector clocks (the mode where pruning actually
+// fires).
 
 TEST(Por, DifferentialSleepEqualsOffAcrossSchedAndMatch) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
@@ -336,8 +335,6 @@ TEST(Por, DifferentialSleepEqualsOffAcrossSchedAndMatch) {
     ExplorerOptions off_options = vector_options(nprocs, PorMode::kOff);
     off_options.sched.kind =
         coop ? SchedulerKind::kCoop : SchedulerKind::kThread;
-    off_options.match =
-        (seed / 2) % 2 == 0 ? MatchKind::kLinear : MatchKind::kIndexed;
     ExplorerOptions sleep_options = off_options;
     sleep_options.por = PorMode::kSleep;
 
