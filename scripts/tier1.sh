@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full build + test sweep (once under the default
 # thread-per-rank scheduler, once with DAMPI_SCHED=coop so every test
-# also runs on the cooperative fiber scheduler, once with DAMPI_POR=off
-# so every test also runs on the unpruned cross-product walk), the
-# resilience stage (resil-labelled tests, the verify_cli exit-code
-# contract, a livelock watchdog sweep across schedulers and jobs
-# widths, and a SIGINT kill + --resume determinism smoke), the
+# also runs on the cooperative fiber scheduler, the sched-labelled tests
+# once each under DAMPI_SCHED=coop-random and coop-priority, once with
+# DAMPI_POR=off so every test also runs on the unpruned cross-product
+# walk), the resilience stage (resil-labelled tests, the verify_cli
+# exit-code contract, a livelock watchdog sweep across schedulers and
+# jobs widths, and a SIGINT kill + --resume determinism smoke), the
 # distributed stage, a trace smoke test (a real workload exported with
 # --trace must validate under trace_check), a DAMPI_TRACE=OFF
 # configure+build check, a Release (-O3) configure+build check, the
@@ -36,6 +37,15 @@ cmake --build build -j "${jobs}"
 # not pinning a scheduler reruns on coop fibers.
 (cd build && DAMPI_SCHED=coop ctest --output-on-failure -j "${jobs}")
 echo "tier1: coop-scheduler sweep OK"
+
+# The sched-labelled suite under the two seeded coop policies: they draw
+# from the whole eligible candidate set, a dispatch path round-robin
+# (which walks cyclically from its cursor) no longer takes.
+for policy in coop-random coop-priority; do
+  (cd build && DAMPI_SCHED="${policy}" ctest --output-on-failure -L sched \
+    -j "${jobs}")
+done
+echo "tier1: seeded coop-policy sched sweep OK"
 
 # And with sleep-set pruning disabled: DAMPI_POR swaps the default
 # partial-order reduction mode, so every test not pinning one reruns on

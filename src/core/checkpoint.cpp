@@ -44,10 +44,10 @@ std::string rest_of_line(std::string_view line, std::size_t keyword_len) {
 // --- Writing -----------------------------------------------------------------
 //
 // A wide journal holds hundreds of thousands of numbers (a 512-rank
-// frontier carries a vector clock per frame), so the writer appends
-// decimal digits straight into one string with std::to_chars instead of
-// formatting each number into a temporary; the text is exactly what
-// "%d"/"%llu"/"%zu" print.
+// frontier carries a vector clock per frame), so the writer formats
+// decimal digits with std::to_chars instead of into temporaries, and
+// lists go through a stack buffer appended once per chunk rather than
+// once per number; the text is exactly what "%d"/"%llu"/"%zu" print.
 
 /// " <value>": the unit every field after a line's keyword is made of.
 template <typename T>
@@ -58,11 +58,26 @@ void put_field(std::string& out, T value) {
   out.append(buf, res.ptr);
 }
 
-/// " <count> v0 .. vN-1".
+/// " <count> v0 .. vN-1", formatted into a 2 KB stack buffer that is
+/// flushed whenever it might not hold one more field.
 template <typename Range>
 void put_list(std::string& out, const Range& values) {
-  put_field(out, values.size());
-  for (const auto v : values) put_field(out, v);
+  constexpr std::size_t kChunk = 2048;
+  constexpr std::ptrdiff_t kMaxField = 21;  // ' ' + 20 digits (or sign+10)
+  char buf[kChunk];
+  char* p = buf;
+  char* const end = buf + kChunk;
+  auto put = [&](auto value) {
+    if (end - p < kMaxField) {
+      out.append(buf, p);
+      p = buf;
+    }
+    *p++ = ' ';
+    p = std::to_chars(p, end, value).ptr;
+  };
+  put(values.size());
+  for (const auto v : values) put(v);
+  out.append(buf, p);
 }
 
 /// One frame line under `keyword` ("frame" for the live stack, "pframe"

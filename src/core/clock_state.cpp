@@ -19,49 +19,64 @@ VcValue load_component(const mpism::Bytes& bytes, std::size_t i) {
 }  // namespace
 
 ClockState::ClockState(ClockMode mode, int nprocs, int rank)
-    : mode_(mode), vector_(nprocs, rank) {}
+    : mode_(mode), rank_(static_cast<std::size_t>(rank)) {
+  DAMPI_CHECK(rank >= 0 && rank < nprocs);
+  if (mode_ == ClockMode::kVector) {
+    vector_.assign(static_cast<std::size_t>(nprocs), 0);
+  }
+}
 
 void ClockState::tick() {
-  // Both trackers advance so either view stays usable (the Lamport value
-  // is the trace-ordering key even in vector mode).
+  // The Lamport value advances in both modes: it is the trace-ordering
+  // key even in vector mode.
   lamport_.tick();
-  vector_.tick();
+  if (mode_ == ClockMode::kVector) ++vector_[rank_];
+}
+
+void ClockState::decode(mpism::Bytes&& remote, MsgClock* out) const {
+  if (mode_ == ClockMode::kLamport) {
+    decode(static_cast<const mpism::Bytes&>(remote), out);
+    return;
+  }
+  out->empty_ = remote.empty();
+  if (out->empty_) return;
+  DAMPI_CHECK_MSG(remote.size() == vector_.size() * sizeof(VcValue),
+                  "payload size mismatch");
+  out->wire_ = std::move(remote);
 }
 
 void ClockState::decode(const mpism::Bytes& remote, MsgClock* out) const {
-  out->empty_ = remote.empty();
-  if (out->empty_) return;
-  if (mode_ == ClockMode::kLamport) {
-    out->lc_ = mpism::unpack<std::uint64_t>(remote);
+  if (mode_ == ClockMode::kVector) {
+    decode(mpism::Bytes(remote), out);
     return;
   }
-  DAMPI_CHECK_MSG(remote.size() % sizeof(VcValue) == 0,
-                  "payload size mismatch");
-  out->vc_.resize(remote.size() / sizeof(VcValue));
-  std::memcpy(out->vc_.data(), remote.data(), remote.size());
+  out->empty_ = remote.empty();
+  if (!out->empty_) out->lc_ = mpism::unpack<std::uint64_t>(remote);
 }
 
 void ClockState::merge(const MsgClock& remote) {
   if (remote.empty()) return;
   if (mode_ == ClockMode::kLamport) {
     lamport_.merge(remote.lc_);
-  } else {
-    vector_.merge(remote.vc_);
-    // Keep the scalar view consistent: the Lamport analogue of a vector
-    // merge is max over the remote's own-entries... a scalar max over the
-    // sum is not meaningful, so track the max component instead, which
-    // preserves per-rank monotonicity for trace ordering.
-    std::uint64_t max_c = 0;
-    for (VcValue v : remote.vc_) max_c = std::max(max_c, v);
-    lamport_.merge(max_c);
+    return;
   }
+  // Keep the scalar view consistent: a scalar max over the sum is not
+  // meaningful, so the Lamport view absorbs the remote's max component,
+  // which preserves per-rank monotonicity for trace ordering.
+  VcValue max_c = 0;
+  for (std::size_t i = 0; i < vector_.size(); ++i) {
+    const VcValue v = load_component(remote.wire_, i);
+    max_c = std::max(max_c, v);
+    if (v > vector_[i]) vector_[i] = v;
+  }
+  lamport_.merge(max_c);
 }
 
 mpism::Bytes ClockState::serialize() const {
   if (mode_ == ClockMode::kLamport) {
     return mpism::pack<std::uint64_t>(lamport_.value());
   }
-  return mpism::pack_vec(vector_.components());
+  return mpism::pack_vec(vector_);
 }
 
 void ClockState::serialize_into(mpism::Bytes* out) const {
@@ -71,10 +86,9 @@ void ClockState::serialize_into(mpism::Bytes* out) const {
     std::memcpy(out->data(), &v, sizeof(v));
     return;
   }
-  const auto& components = vector_.components();
-  out->resize(components.size() * sizeof(VcValue));
-  if (!components.empty()) {
-    std::memcpy(out->data(), components.data(), out->size());
+  out->resize(vector_.size() * sizeof(VcValue));
+  if (!vector_.empty()) {
+    std::memcpy(out->data(), vector_.data(), out->size());
   }
 }
 
@@ -88,10 +102,9 @@ bool ClockState::is_after(const MsgClock& msg_clock, std::uint64_t epoch_lc,
   if (msg_clock.empty()) return true;
   if (mode_ == ClockMode::kLamport) return msg_clock.lc_ >= epoch_lc;
   // Causally after or equal: no component behind the epoch's.
-  const std::vector<VcValue>& msg = msg_clock.vc_;
-  DAMPI_CHECK(msg.size() == epoch_vc.size());
-  for (std::size_t i = 0; i < msg.size(); ++i) {
-    if (msg[i] < epoch_vc[i]) return false;
+  DAMPI_CHECK(epoch_vc.size() == vector_.size());
+  for (std::size_t i = 0; i < epoch_vc.size(); ++i) {
+    if (load_component(msg_clock.wire_, i) < epoch_vc[i]) return false;
   }
   return true;
 }
@@ -99,7 +112,11 @@ bool ClockState::is_after(const MsgClock& msg_clock, std::uint64_t epoch_lc,
 void ClockState::merge_epoch(
     std::uint64_t lc, const std::vector<clocks::VectorClock::Value>& vc) {
   lamport_.merge(lc);
-  if (mode_ == ClockMode::kVector && !vc.empty()) vector_.merge(vc);
+  if (mode_ != ClockMode::kVector || vc.empty()) return;
+  DAMPI_CHECK(vc.size() == vector_.size());
+  for (std::size_t i = 0; i < vc.size(); ++i) {
+    vector_[i] = std::max(vector_[i], vc[i]);
+  }
 }
 
 mpism::Bytes ClockState::merge_serialized(

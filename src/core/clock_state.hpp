@@ -3,6 +3,7 @@
 // not causally after that epoch?") under either mode.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -13,10 +14,10 @@
 
 namespace dampi::core {
 
-/// A serialized message clock, decoded once per completion by
-/// ClockState::decode and then compared against every open epoch and
-/// merged in place. Owned by the caller and reused across completions,
-/// so its buffer stops allocating once it has held one full clock.
+/// A message clock as ClockState::decode left it, compared against
+/// every open epoch and merged in place. In vector mode it owns the
+/// serialized bytes the transport received and reads components straight
+/// out of them, so a completed receive's clock is never copied again.
 class MsgClock {
  public:
   /// True for a message that carried no clock (it predates
@@ -26,8 +27,8 @@ class MsgClock {
  private:
   friend class ClockState;
   bool empty_ = true;
-  std::uint64_t lc_ = 0;                      ///< Lamport mode.
-  std::vector<clocks::VectorClock::Value> vc_;  ///< Vector mode.
+  std::uint64_t lc_ = 0;  ///< Lamport mode.
+  mpism::Bytes wire_;     ///< Vector mode: packed native-endian components.
 };
 
 class ClockState {
@@ -36,19 +37,23 @@ class ClockState {
 
   void tick();
   /// Decodes a serialized remote clock into `out` under this state's
-  /// clock mode, reusing out's buffer.
+  /// clock mode. The rvalue form adopts the bytes; the const form copies
+  /// them.
+  void decode(mpism::Bytes&& remote, MsgClock* out) const;
   void decode(const mpism::Bytes& remote, MsgClock* out) const;
-  /// Merge a decoded remote clock (no-op if empty).
+  /// Merge a decoded remote clock (no-op if empty): one pass takes the
+  /// component-wise max and the remote's largest component, which the
+  /// Lamport view absorbs.
   void merge(const MsgClock& remote);
   mpism::Bytes serialize() const;
-  /// serialize() into a caller-owned buffer, reusing its capacity — the
-  /// per-send piggyback attach path latches into the same buffer every
-  /// time, so steady-state sends stop allocating.
+  /// serialize() into a caller-owned buffer, reusing whatever capacity
+  /// it already has.
   void serialize_into(mpism::Bytes* out) const;
 
   std::uint64_t lamport_value() const { return lamport_.value(); }
+  /// The vector timestamp; empty in Lamport mode, which keeps none.
   const std::vector<clocks::VectorClock::Value>& vector_components() const {
-    return vector_.components();
+    return vector_;
   }
 
   /// Is a message carrying `msg_clock` late with respect to an epoch
@@ -78,8 +83,9 @@ class ClockState {
 
  private:
   ClockMode mode_;
+  std::size_t rank_;
   clocks::LamportClock lamport_;
-  clocks::VectorClock vector_;
+  std::vector<clocks::VectorClock::Value> vector_;  ///< Vector mode only.
 };
 
 }  // namespace dampi::core

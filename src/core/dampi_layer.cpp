@@ -28,8 +28,11 @@ DampiLayer::DampiLayer(int rank, int nprocs,
       shared_(std::move(shared)),
       options_(shared_->options),
       transport_(std::move(transport)),
-      clock_(options_.clock_mode, nprocs, rank),
-      xmit_clock_(options_.clock_mode, nprocs, rank) {}
+      clock_(options_.clock_mode, nprocs, rank) {
+  if (options_.deferred_clock_sync) {
+    xmit_clock_.emplace(options_.clock_mode, nprocs, rank);
+  }
+}
 
 DampiLayer::~DampiLayer() {
   // Aborted runs never reach on_finalize; the trace still matters (the
@@ -165,7 +168,7 @@ void DampiLayer::pre_isend(mpism::ToolCtx& ctx, mpism::SendCall& call) {
 
 void DampiLayer::post_isend(mpism::ToolCtx& ctx, const mpism::SendCall& call,
                             mpism::RequestId, const mpism::SendInfo& info) {
-  transport_->on_post_send(ctx, call, info, latch_send_clock_);
+  transport_->on_post_send(ctx, call, info, std::move(latch_send_clock_));
 }
 
 // --- receives ---------------------------------------------------------------
@@ -212,10 +215,10 @@ void DampiLayer::post_wait(mpism::ToolCtx& ctx, mpism::ReqCompletion& c) {
                  c.src_world, c.seq);
     wildcard_reqs_.erase(it);
     pending_wildcards_.erase(c.id);
-    if (options_.deferred_clock_sync) {
+    if (xmit_clock_) {
       // §V: the Wait/Test is the synchronization point — only now may
       // outgoing traffic advertise this epoch's tick.
-      xmit_clock_.merge_epoch(epoch.lc, epoch.vc);
+      xmit_clock_->merge_epoch(epoch.lc, epoch.vc);
     }
   }
 
@@ -288,9 +291,9 @@ void DampiLayer::post_probe(mpism::ToolCtx& ctx, const mpism::ProbeCall& call,
   DAMPI_TEVENT(obs::EventKind::kEpochClose, obs::Phase::kInstant, rank_,
                static_cast<std::int32_t>(epoch.key.nd_index),
                epoch.matched_src_world, epoch.matched_seq);
-  if (options_.deferred_clock_sync) {
+  if (xmit_clock_) {
     // A probe completes its own epoch; synchronize immediately.
-    xmit_clock_.merge_epoch(epoch.lc, epoch.vc);
+    xmit_clock_->merge_epoch(epoch.lc, epoch.vc);
   }
   ctx.add_cost(options_.epoch_record_cost_us);
   // No piggyback is received: probes do not dequeue the message (§II-E).

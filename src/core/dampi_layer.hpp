@@ -12,8 +12,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/clock_state.hpp"
@@ -91,19 +93,19 @@ class DampiLayer final : public mpism::ToolLayer {
 
   /// The clock outgoing traffic advertises (== clock_ unless deferred
   /// sync is enabled).
-  ClockState& transmit_clock() {
-    return options_.deferred_clock_sync ? xmit_clock_ : clock_;
-  }
+  ClockState& transmit_clock() { return xmit_clock_ ? *xmit_clock_ : clock_; }
   /// Decode a serialized incoming clock into incoming_ (both trackers
-  /// share the clock mode, so one decode serves both).
-  const MsgClock& decode_incoming(const mpism::Bytes& remote) {
-    clock_.decode(remote, &incoming_);
+  /// share the clock mode, so one decode serves both). A clock the
+  /// transport handed over by value is adopted, not copied.
+  template <typename Wire>
+  const MsgClock& decode_incoming(Wire&& remote) {
+    clock_.decode(std::forward<Wire>(remote), &incoming_);
     return incoming_;
   }
   /// Apply a decoded incoming remote clock to both trackers.
   void merge_incoming(const MsgClock& remote) {
     clock_.merge(remote);
-    if (options_.deferred_clock_sync) xmit_clock_.merge(remote);
+    if (xmit_clock_) xmit_clock_->merge(remote);
   }
 
   void flush(bool from_finalize);
@@ -115,14 +117,14 @@ class DampiLayer final : public mpism::ToolLayer {
   std::unique_ptr<piggyback::Transport> transport_;
 
   ClockState clock_;
-  /// §V deferred-sync transmittal clock: what outgoing traffic carries
-  /// when options_.deferred_clock_sync is on. Lags clock_ by the ticks
-  /// of wildcard epochs whose Wait/Test has not completed; catches up
-  /// per epoch at completion.
-  ClockState xmit_clock_;
+  /// §V deferred-sync transmittal clock: what outgoing traffic carries;
+  /// present only when options_.deferred_clock_sync is on. Lags clock_
+  /// by the ticks of wildcard epochs whose Wait/Test has not completed;
+  /// catches up per epoch at completion.
+  std::optional<ClockState> xmit_clock_;
   std::uint64_t nd_index_ = 0;
   /// The clock of the completion being processed, decoded once and
-  /// reused across completions (no per-message allocation).
+  /// compared and merged in place.
   MsgClock incoming_;
 
   /// Epochs recorded by this rank this run (flushed at finalize/teardown).
@@ -141,7 +143,8 @@ class DampiLayer final : public mpism::ToolLayer {
   std::set<mpism::RequestId> pending_wildcards_;
 
   /// One-slot latches carrying pre-hook context into the matching post
-  /// hook (hooks on a rank are strictly sequential).
+  /// hook (hooks on a rank are strictly sequential). The send clock is
+  /// serialized in pre_isend and moved into the transport by post_isend.
   bool latch_irecv_was_wildcard_ = false;
   bool latch_probe_was_wildcard_ = false;
   mpism::Bytes latch_send_clock_;

@@ -8,6 +8,7 @@
 #include <set>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/checkpoint.hpp"
@@ -214,7 +215,7 @@ SingleRun run_guided_once(const ExplorerOptions& options,
   return outcome;
 }
 
-void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
+void Explorer::extend_stack(RunTrace& trace, int flip_pos,
                             ExploreResult& result) {
   const auto sorted = trace.sorted();
   std::map<EpochKey, const EpochRecord*> by_key;
@@ -306,7 +307,11 @@ void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
     frame.taken_src = epoch->matched_src_world;
     frame.comm = epoch->comm;
     frame.tag = epoch->tag;
-    frame.vc = epoch->vc;
+    // The epoch's timestamp moves into the frame: nothing reads the
+    // trace's copy after this extension.
+    frame.vc = std::move(
+        trace.epochs[static_cast<std::size_t>(epoch - trace.epochs.data())]
+            .vc);
     frame.seen.insert(frame.taken_src);
     if (pruning) {
       // Same decision site, fully explored in the commuting sibling
@@ -460,18 +465,22 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     cp.quarantined = result.quarantined;
     cp.divergences = result.divergences;
     cp.prefix_mismatches = result.prefix_mismatches;
-    cp.frames = stack_;
-    cp.pending_sleep = pending_sleep_;
+    // The frontier is lent to the journal, not copied: it moves into
+    // the checkpoint for the write and straight back afterwards.
+    cp.frames = std::move(stack_);
+    cp.pending_sleep = std::move(pending_sleep_);
     cp.bugs = result.bugs;
     cp.unsafe_alerts = result.unsafe_alerts;
     if (options_.fault) cp.fault_fires = options_.fault->fire_counts();
     DAMPI_TEVENT(obs::EventKind::kCheckpoint, obs::Phase::kBegin,
-                 static_cast<std::int32_t>(stack_.size()), 0, 0,
+                 static_cast<std::int32_t>(cp.frames.size()), 0, 0,
                  static_cast<std::int32_t>(result.interleavings));
     const bool ok = save_checkpoint(cp, options_.checkpoint_path);
     DAMPI_TEVENT(obs::EventKind::kCheckpoint, obs::Phase::kEnd,
-                 static_cast<std::int32_t>(stack_.size()), 0, 0,
+                 static_cast<std::int32_t>(cp.frames.size()), 0, 0,
                  static_cast<std::int32_t>(result.interleavings));
+    stack_ = std::move(cp.frames);
+    pending_sleep_ = std::move(cp.pending_sleep);
     if (ok) {
       ++result.checkpoint_writes;
       static obs::Counter& writes_metric =

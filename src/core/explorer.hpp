@@ -210,9 +210,10 @@ class Explorer {
 
  private:
   /// Append new frames discovered by a run; `flip_pos` is the stack index
-  /// that was flipped to trigger it (-1 for the initial run).
-  void extend_stack(const RunTrace& trace, int flip_pos,
-                    ExploreResult& result);
+  /// that was flipped to trigger it (-1 for the initial run). Each new
+  /// frame takes its epoch's vector timestamp by move, so the trace is
+  /// spent afterwards.
+  void extend_stack(RunTrace& trace, int flip_pos, ExploreResult& result);
 
   /// Prefix of the schedule a flip of stack_[i] would force: decisions of
   /// frames 0..i-1 plus frame i's key mapped to `alt`.

@@ -213,10 +213,13 @@ class CoopScheduler final : public RankScheduler {
         obs::Registry::instance().counter("scheduler.coop_runs");
     static obs::Counter& switches_metric =
         obs::Registry::instance().counter("scheduler.switches");
+    static obs::Counter& wake_probes_metric =
+        obs::Registry::instance().counter("scheduler.wake_probes");
     static obs::Counter& stalls_metric =
         obs::Registry::instance().counter("scheduler.stalls");
     runs_metric.add(1);
     switches_metric.add(switches);
+    wake_probes_metric.add(wake_probes_);
     stalls_metric.add(stalls_);
   }
 
@@ -280,83 +283,87 @@ class CoopScheduler final : public RankScheduler {
   /// Selects the next rank to dispatch, declaring a stall first if
   /// nothing is runnable. Returns -1 only when every rank has finished
   /// (the run loop exits before asking again).
+  ///
+  /// Three passes, each over the policy's eligibility order (see
+  /// select): hinted runnable ranks; then, if none, every blocked rank
+  /// whose predicate holds; then, if still none, a stall.
   Rank pick() {
-    candidates_.clear();
+    if (finished_ == nprocs_) return -1;
     const bool stopping = cb_->stop();
-    bool any_unfinished = false;
-    for (Rank r = 0; r < nprocs_; ++r) {
-      Fiber& f = fibers_[static_cast<std::size_t>(r)];
-      if (f.state == State::kFinished) continue;
-      any_unfinished = true;
+    Rank next = select([this, stopping](Rank r) {
+      const Fiber& f = fibers_[static_cast<std::size_t>(r)];
+      if (f.state == State::kFinished) return false;
+      // Stopping releases every parked rank so it can observe the abort
+      // and unwind; unstarted and poll-yielded ranks are always
+      // runnable.
       if (stopping || f.state == State::kUnstarted ||
           f.state == State::kYielded) {
-        // Stopping releases every parked rank so it can observe the
-        // abort and unwind; unstarted and poll-yielded ranks are always
-        // runnable.
-        candidates_.push_back(r);
-      } else if (f.hint.load(std::memory_order_relaxed) &&
-                 cb_->wake_ready(r)) {
-        candidates_.push_back(r);
+        return true;
       }
-    }
-    if (!any_unfinished) return -1;
-    if (candidates_.empty()) {
-      // Hints are conservative; a predicate can flip without a wake()
-      // (e.g. a probe whose candidate set grew via an unrelated path).
-      // Re-scan every blocked rank before concluding anything.
-      for (Rank r = 0; r < nprocs_; ++r) {
-        const Fiber& f = fibers_[static_cast<std::size_t>(r)];
-        if (f.state == State::kBlocked && cb_->wake_ready(r)) {
-          candidates_.push_back(r);
-        }
-      }
-    }
-    if (candidates_.empty()) {
-      // Every live rank is blocked with a false predicate: with eager
-      // matching nothing can make progress — an exact deadlock. The
-      // engine marks the run stopped, after which all parked ranks
-      // become dispatchable and unwind.
-      ++stalls_;
-      cb_->on_stall();
-      DAMPI_CHECK_MSG(cb_->stop(), "on_stall must stop the run");
-      for (Rank r = 0; r < nprocs_; ++r) {
-        if (fibers_[static_cast<std::size_t>(r)].state != State::kFinished) {
-          candidates_.push_back(r);
-        }
-      }
-    }
-    return choose_from_candidates();
+      return f.hint.load(std::memory_order_relaxed) && probe(r);
+    });
+    if (next >= 0) return next;
+    // Hints are conservative; a predicate can flip without a wake()
+    // (e.g. a probe whose candidate set grew via an unrelated path).
+    // Re-scan every blocked rank before concluding anything.
+    next = select([this](Rank r) {
+      return fibers_[static_cast<std::size_t>(r)].state == State::kBlocked &&
+             probe(r);
+    });
+    if (next >= 0) return next;
+    // Every live rank is blocked with a false predicate: with eager
+    // matching nothing can make progress — an exact deadlock. The
+    // engine marks the run stopped, after which all parked ranks
+    // become dispatchable and unwind.
+    ++stalls_;
+    cb_->on_stall();
+    DAMPI_CHECK_MSG(cb_->stop(), "on_stall must stop the run");
+    return select([this](Rank r) {
+      return fibers_[static_cast<std::size_t>(r)].state != State::kFinished;
+    });
   }
 
-  Rank choose_from_candidates() {
-    DAMPI_CHECK(!candidates_.empty());
-    switch (opts_.pick) {
-      case SchedPolicy::kRoundRobin: {
-        for (Rank r : candidates_) {
-          if (r >= rr_cursor_) {
-            rr_cursor_ = (r + 1) % nprocs_;
-            return r;
-          }
+  /// One wake-predicate evaluation by the dispatcher.
+  bool probe(Rank r) {
+    ++wake_probes_;
+    return cb_->wake_ready(r);
+  }
+
+  /// The policy's pick among the ranks satisfying `eligible`, or -1 if
+  /// none does. Round-robin takes the first eligible rank at or after
+  /// the cursor, wrapping once, so it walks cyclically from the cursor
+  /// and stops at the first hit: a dispatch costs predicate calls for
+  /// the ranks it skips, not for all nprocs. Random and priority need
+  /// the whole eligible set (in rank order) to draw from.
+  template <typename Eligible>
+  Rank select(Eligible eligible) {
+    if (opts_.pick == SchedPolicy::kRoundRobin) {
+      for (int i = 0; i < nprocs_; ++i) {
+        const Rank r = (rr_cursor_ + i) % nprocs_;
+        if (eligible(r)) {
+          rr_cursor_ = (r + 1) % nprocs_;
+          return r;
         }
-        const Rank r = candidates_.front();
-        rr_cursor_ = (r + 1) % nprocs_;
-        return r;
       }
-      case SchedPolicy::kRandomSeeded:
-        return candidates_[static_cast<std::size_t>(
-            rng_.next_below(candidates_.size()))];
-      case SchedPolicy::kPriority: {
-        Rank best = candidates_.front();
-        for (Rank r : candidates_) {
-          if (priorities_[static_cast<std::size_t>(r)] >
-              priorities_[static_cast<std::size_t>(best)]) {
-            best = r;
-          }
-        }
-        return best;
+      return -1;
+    }
+    candidates_.clear();
+    for (Rank r = 0; r < nprocs_; ++r) {
+      if (eligible(r)) candidates_.push_back(r);
+    }
+    if (candidates_.empty()) return -1;
+    if (opts_.pick == SchedPolicy::kRandomSeeded) {
+      return candidates_[static_cast<std::size_t>(
+          rng_.next_below(candidates_.size()))];
+    }
+    Rank best = candidates_.front();
+    for (Rank r : candidates_) {
+      if (priorities_[static_cast<std::size_t>(r)] >
+          priorities_[static_cast<std::size_t>(best)]) {
+        best = r;
       }
     }
-    return candidates_.front();
+    return best;
   }
 
   void dispatch(Rank r) {
@@ -421,6 +428,7 @@ class CoopScheduler final : public RankScheduler {
   Rank current_ = -1;
   Rank rr_cursor_ = 0;
   int finished_ = 0;
+  std::uint64_t wake_probes_ = 0;
   std::uint64_t stalls_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "piggyback/separate_message.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace dampi::piggyback {
@@ -27,8 +29,9 @@ mpism::CommId SeparateMessageTransport::shadow_of(mpism::CommId comm) const {
 void SeparateMessageTransport::on_post_send(mpism::ToolCtx& ctx,
                                             const mpism::SendCall& call,
                                             const mpism::SendInfo& info,
-                                            const mpism::Bytes& clock) {
-  ctx.raw_isend(call.dst, pb_tag(info.seq), shadow_of(call.comm), clock);
+                                            mpism::Bytes clock) {
+  ctx.raw_isend(call.dst, pb_tag(info.seq), shadow_of(call.comm),
+                std::move(clock));
 }
 
 mpism::Bytes SeparateMessageTransport::on_recv_complete(

@@ -19,8 +19,7 @@ class SeparateMessageTransport final : public Transport {
  public:
   void on_init(mpism::ToolCtx& ctx) override;
   void on_post_send(mpism::ToolCtx& ctx, const mpism::SendCall& call,
-                    const mpism::SendInfo& info,
-                    const mpism::Bytes& clock) override;
+                    const mpism::SendInfo& info, mpism::Bytes clock) override;
   mpism::Bytes on_recv_complete(mpism::ToolCtx& ctx,
                                 mpism::ReqCompletion& c) override;
   void on_new_comm(mpism::ToolCtx& ctx, mpism::CommId comm) override;

@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "piggyback/transport.hpp"
 
@@ -51,8 +52,8 @@ class TelepathicTransport final : public Transport {
 
   void on_post_send(mpism::ToolCtx&, const mpism::SendCall&,
                     const mpism::SendInfo& info,
-                    const mpism::Bytes& clock) override {
-    board_->put(info.msg_id, clock);
+                    mpism::Bytes clock) override {
+    board_->put(info.msg_id, std::move(clock));
   }
 
   mpism::Bytes on_recv_complete(mpism::ToolCtx&,

@@ -34,10 +34,11 @@ class Transport {
                            const mpism::Bytes& /*clock*/) {}
 
   /// Called after the payload send was injected (its sequence number is
-  /// known here).
+  /// known here). Takes the serialized clock by value: a transport that
+  /// ships it moves it on instead of copying it.
   virtual void on_post_send(mpism::ToolCtx&, const mpism::SendCall&,
-                            const mpism::SendInfo&,
-                            const mpism::Bytes& /*clock*/) {}
+                            const mpism::SendInfo&, mpism::Bytes /*clock*/) {
+  }
 
   /// Called when a receive completes; returns the sender's clock for this
   /// message. May rewrite the completion's payload/status (the packed

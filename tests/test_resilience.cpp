@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "common/strutil.hpp"
 #include "core/checkpoint.hpp"
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
@@ -23,6 +24,7 @@
 namespace dampi::test {
 namespace {
 
+using dampi::strfmt;
 using core::BugRecord;
 using core::Checkpoint;
 using core::Explorer;
@@ -589,6 +591,89 @@ TEST(Checkpoint, GoldenJournalParsesBackToTheSameCheckpoint) {
   EXPECT_EQ(parsed->bugs[1].errors[0].rank, -1);
   EXPECT_EQ(parsed->bugs[1].errors[0].message, "tool \\ died\r\n");
   EXPECT_EQ(parsed->unsafe_alerts, want.unsafe_alerts);
+}
+
+// The list writer formats each list through a fixed-size buffer flushed
+// in chunks. Frame i's 512-entry vector clock opens with i one-digit
+// components before its twenty-digit ones, so across the frames the
+// twenty-digit fields meet the chunk boundary at every offset; empty
+// lists sit beside them. Each line must equal a "%llu"-formatted
+// reference and parse back to the same frames.
+TEST(Checkpoint, LongListsCrossTheWriterChunkExactly) {
+  Checkpoint cp;
+  cp.fingerprint = "wide";
+  std::vector<std::string> want_lines = {"# dampi-checkpoint v1",
+                                         "options wide", "interleavings 0",
+                                         "counters 0 0 0 0 0"};
+  auto list = [](const auto& values) {
+    std::string s = strfmt(" %zu", values.size());
+    for (const auto v : values) {
+      s += strfmt(" %lld", static_cast<long long>(v));
+    }
+    return s;
+  };
+  for (int i = 0; i < 24; ++i) {
+    core::DfsFrame frame;
+    frame.key = {i, static_cast<std::uint64_t>(i) * 3};
+    frame.lc = ~std::uint64_t{0} - static_cast<std::uint64_t>(i);
+    frame.taken_src = i % 5 - 1;
+    frame.mix_budget = -i;
+    for (int r = 0; r < i * 7; ++r) frame.untried.push_back(r * 1000003);
+    frame.seen = {frame.taken_src};
+    if (i % 3 == 0) frame.sleep = {-1, i};
+    frame.vc.resize(i == 23 ? 0 : 512);
+    for (std::size_t c = 0; c < frame.vc.size(); ++c) {
+      frame.vc[c] = c < static_cast<std::size_t>(i)
+                        ? c % 10
+                        : ~std::uint64_t{0} - c * 7919;
+    }
+    std::string line = strfmt("frame %d %llu %llu %d 1 %d u", frame.key.rank,
+                              static_cast<unsigned long long>(frame.key.nd_index),
+                              static_cast<unsigned long long>(frame.lc),
+                              frame.taken_src, frame.mix_budget);
+    line += list(frame.untried) + " s" + list(frame.seen);
+    if (!frame.sleep.empty()) line += " z" + list(frame.sleep);
+    if (!frame.vc.empty()) {
+      line += strfmt(" v %zu", frame.vc.size());
+      for (const auto v : frame.vc) {
+        line += strfmt(" %llu", static_cast<unsigned long long>(v));
+      }
+    }
+    want_lines.push_back(line);
+    cp.frames.push_back(std::move(frame));
+  }
+  want_lines.push_back("end");
+
+  const std::string text = core::serialize_checkpoint(cp);
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = text.find('\n', pos);
+    ASSERT_NE(eol, std::string::npos);
+    lines.push_back(text.substr(pos, eol - pos));
+    pos = eol + 1;
+  }
+  ASSERT_EQ(lines.size(), want_lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], want_lines[i]) << "line " << i + 1;
+  }
+
+  std::string error;
+  const auto parsed = core::parse_checkpoint(text, "wide", &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_EQ(parsed->frames.size(), cp.frames.size());
+  for (std::size_t i = 0; i < cp.frames.size(); ++i) {
+    const core::DfsFrame& got = parsed->frames[i];
+    const core::DfsFrame& want = cp.frames[i];
+    EXPECT_EQ(got.key, want.key);
+    EXPECT_EQ(got.lc, want.lc);
+    EXPECT_EQ(got.taken_src, want.taken_src);
+    EXPECT_EQ(got.mix_budget, want.mix_budget);
+    EXPECT_EQ(got.untried, want.untried);
+    EXPECT_EQ(got.seen, want.seen);
+    EXPECT_EQ(got.sleep, want.sleep);
+    EXPECT_EQ(got.vc, want.vc);
+  }
+  EXPECT_EQ(core::serialize_checkpoint(*parsed), text);
 }
 
 // Every refusal names its line and cause in fixed words; users and the

@@ -23,6 +23,7 @@
 
 #include "common/strutil.hpp"
 #include "core/explorer.hpp"
+#include "obs/metrics.hpp"
 #include "support/reference_enumerator.hpp"
 #include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
@@ -119,6 +120,50 @@ std::string fingerprint(const core::ExploreResult& r) {
   }
   for (const auto& a : r.unsafe_alerts) s += "\nalert: " + a;
   return s;
+}
+
+/// 64-bit FNV-1a over a fingerprint stream, printed as 16 hex digits:
+/// a compact pin for fingerprints too long to spell out in a test.
+class Digest {
+ public:
+  Digest& bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 1099511628211ull;
+    }
+    return *this;
+  }
+  Digest& text(const std::string& s) { return bytes(s.data(), s.size()); }
+  Digest& num(std::uint64_t v) { return bytes(&v, sizeof(v)); }
+  std::string hex() const {
+    return strfmt("%016llx", static_cast<unsigned long long>(h_));
+  }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+/// Everything the explorer reads from a discovery trace, in canonical
+/// trace order: key, clocks, the matched send, and every alternative.
+std::string trace_digest(const core::RunTrace& trace) {
+  Digest d;
+  for (const core::EpochRecord* e : trace.sorted()) {
+    d.num(static_cast<std::uint64_t>(e->key.rank))
+        .num(e->key.nd_index)
+        .num(e->lc)
+        .num(static_cast<std::uint64_t>(e->matched_src_world))
+        .num(e->matched_seq)
+        .num(e->alternatives.size());
+    for (const auto& [src, match] : e->alternatives) {
+      d.num(static_cast<std::uint64_t>(src))
+          .num(match.seq)
+          .num(static_cast<std::uint64_t>(match.tag));
+    }
+    d.num(e->vc.size());
+    for (const auto v : e->vc) d.num(v);
+  }
+  return d.hex();
 }
 
 #define SKIP_WITHOUT_COOP()                                              \
@@ -413,6 +458,123 @@ TEST(SchedScale, Wavefront512RankVerificationCompletes) {
   EXPECT_TRUE(result.bugs.empty());
   EXPECT_GE(result.interleavings, 1u);
   EXPECT_GT(result.wildcard_recv_epochs, 0u);
+}
+
+// Golden pins for the coop round-robin dispatch order. Any change to
+// how the dispatcher picks the next rank — even one that still passes
+// every determinism test above — shifts these digests: each fingerprint
+// records the exact match order a 100+-rank native run produced. A
+// change to the dispatcher's *cost* must leave them untouched.
+TEST(SchedGolden, FanInRounds128RankReport) {
+  SKIP_WITHOUT_COOP();
+  const auto report =
+      run_program(run_options(128, coop()),
+                  [](Proc& p) { workloads::fan_in_rounds(p, 2); });
+  ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+  EXPECT_EQ(Digest().text(fingerprint(report)).hex(), "206af6f4b6177695");
+}
+
+// The seeded policies draw from the whole eligible set rather than
+// walking from a cursor; their picks are pinned the same way.
+TEST(SchedGolden, Wavefront64RankReportSeededPolicies) {
+  SKIP_WITHOUT_COOP();
+  const struct {
+    mpism::SchedOptions sched;
+    const char* digest;
+  } cases[] = {
+      {coop(mpism::SchedPolicy::kRandomSeeded, 42), "eae7a512d6b53a6b"},
+      {coop(mpism::SchedPolicy::kPriority, 7), "f4ef1e3b56736cf5"},
+  };
+  for (const auto& c : cases) {
+    const auto report = run_program(run_options(64, c.sched), [](Proc& p) {
+      workloads::wavefront(p, workloads::WavefrontConfig{});
+    });
+    ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+    EXPECT_EQ(Digest().text(fingerprint(report)).hex(), c.digest)
+        << mpism::sched_spec(c.sched);
+  }
+}
+
+/// Collective-heavy native program: per round an allreduce, a bcast, a
+/// comm_split into four strided groups, a barrier, an allgather and a
+/// wildcard fan-in inside each group, then a comm_free. The group root
+/// charges virtual time by matched source, so the report's vtime
+/// records the order the dispatcher let the senders in.
+void collective_rounds(Proc& p) {
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t sum = p.allreduce_u64(
+        static_cast<std::uint64_t>(p.rank() + round), mpism::ReduceOp::kSumU64);
+    Bytes word = p.rank() == round ? pack<std::uint64_t>(sum) : Bytes{};
+    p.bcast(&word, round);
+    p.require(unpack<std::uint64_t>(word) == sum, "bcast mangled");
+    const mpism::CommId group = p.comm_split(p.rank() % 4, p.size() - p.rank());
+    p.barrier(group);
+    const auto members = p.allgather(pack<int>(p.rank()), group);
+    p.require(static_cast<int>(members.size()) == p.comm_size(group),
+              "allgather size");
+    if (p.comm_rank(group) == 0) {
+      for (int i = 1; i < p.comm_size(group); ++i) {
+        const mpism::Status st =
+            p.recv(mpism::kAnySource, round, nullptr, group);
+        p.compute(static_cast<double>(i * (st.source + 1)));
+      }
+    } else {
+      p.send(0, round, pack<int>(p.rank()), group);
+    }
+    p.comm_free(group);
+  }
+  p.barrier();
+}
+
+TEST(SchedGolden, CollectiveRounds64RankReport) {
+  SKIP_WITHOUT_COOP();
+  const auto report = run_program(run_options(64, coop()), collective_rounds);
+  ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+  EXPECT_EQ(Digest().text(fingerprint(report)).hex(), "2dfed77da7c8dda3");
+}
+
+// The discovery run of a 512-rank one-sweep wavefront under vector
+// clocks: every epoch's key, clocks, outcome and alternatives.
+TEST(SchedGolden, Wavefront512DiscoveryTrace) {
+  SKIP_WITHOUT_COOP();
+  core::ExplorerOptions options = explorer_options(512);
+  options.sched = coop();
+  options.clock_mode = core::ClockMode::kVector;
+  const auto single = run_dampi_once(options, {}, [](Proc& p) {
+    workloads::WavefrontConfig config;
+    config.sweeps = 1;
+    workloads::wavefront(p, config);
+  });
+  ASSERT_TRUE(single.report.ok()) << single.report.deadlock_detail;
+  ASSERT_FALSE(single.trace.epochs.empty());
+  EXPECT_EQ(trace_digest(single.trace), "3c955bb05d78022d");
+}
+
+// Dispatch cost: round-robin walks from its cursor and stops at the
+// first runnable rank, so across a whole DAMPI-instrumented 512-rank
+// replay the dispatcher evaluates fewer wake predicates than it makes
+// switches (a full scan per dispatch costs hundreds per switch here:
+// the init comm_dup and the finalize barriers wake every rank at once).
+TEST(SchedCost, WakeProbesBoundedBySwitchesAt512Ranks) {
+  SKIP_WITHOUT_COOP();
+  auto& registry = obs::Registry::instance();
+  obs::Counter& switches = registry.counter("scheduler.switches");
+  obs::Counter& probes = registry.counter("scheduler.wake_probes");
+  const std::uint64_t switches_before = switches.value();
+  const std::uint64_t probes_before = probes.value();
+
+  core::ExplorerOptions options = explorer_options(512);
+  options.sched = coop();
+  options.clock_mode = core::ClockMode::kVector;
+  const auto single = run_dampi_once(options, {}, [](Proc& p) {
+    workloads::wavefront(p, workloads::WavefrontConfig{});
+  });
+  ASSERT_TRUE(single.report.ok()) << single.report.deadlock_detail;
+
+  const std::uint64_t run_switches = switches.value() - switches_before;
+  const std::uint64_t run_probes = probes.value() - probes_before;
+  EXPECT_GE(run_switches, 512u);
+  EXPECT_LE(run_probes, run_switches);
 }
 
 }  // namespace
