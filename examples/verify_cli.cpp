@@ -2,22 +2,30 @@
 //
 // Usage:
 //   verify_cli --list
-//   verify_cli --program fig3 [--procs 3] [--k 1] [--clock vector]
-//              [--max-interleavings 1000] [--deferred-sync]
-//              [--auto-loop N] [--jobs N] [--isp]
+//   verify_cli --program <name> [options]
+//
+// Every flag is one row of kFlags below: its name and value, its help
+// line, a strict value parser, and whether it is forwarded to --worker
+// processes or conflicts with --sweep-faults. The parser, the usage
+// text, a distributed campaign's worker argv and the sweep conflict
+// check are all derived from that table. An unknown option, a missing
+// value or a malformed one prints the usage and exits 3.
 //
 // Programs: the paper's pattern fixtures, matmult, mini-ADLB, the
 // ParMETIS proxy, and every Table II suite entry by name (104.milc, BT,
 // LU, ...).
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/decision_io.hpp"
@@ -87,117 +95,366 @@ std::map<std::string, mpism::ProgramFn> program_registry() {
   return programs;
 }
 
+/// Every setting a command line can carry; the flag parsers write
+/// straight into it.
+struct Cli {
+  Cli() {
+    explorer.nprocs = 4;
+    explorer.max_interleavings = 4096;
+  }
+  core::ExplorerOptions explorer;
+  /// Sweep budget, seed, kinds, journal and per-plan wall budget; the
+  /// rest is filled in from `explorer` when the sweep starts.
+  sweep::SweepOptions sweep;
+  std::string program;
+  bool list = false;
+  bool use_isp = false;
+  std::string save_repro_path;
+  std::string replay_path;
+  std::string trace_path;
+  std::size_t trace_capacity = 0;  // 0 = the tracer's default
+  bool print_metrics = false;
+  bool resume = false;
+  bool sweep_faults = false;
+  std::string sweep_report_path;
+  int workers = 0;  // 0 = in-process exploration (the default)
+  std::string dist_socket;
+  bool worker_mode = false;
+  int worker_id = 0;
+  std::string coordinator_socket;
+};
+
+/// Strict integer values: the whole token must parse and be >= min.
+/// Returns why the value was rejected, or the empty string.
+template <typename Int>
+std::string integer(const char* text, std::type_identity_t<Int> min,
+                    Int* out) {
+  Int value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < min) {
+    std::string expected = "expected an integer >= ";
+    expected += std::to_string(min);
+    return expected;
+  }
+  *out = value;
+  return {};
+}
+
+/// Strict durations: a whole, finite, non-negative number of seconds.
+std::string seconds(const char* text, double* out) {
+  double value = 0.0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    return "expected a number of seconds >= 0";
+  }
+  *out = value;
+  return {};
+}
+
+std::string set(bool& flag) {
+  flag = true;
+  return {};
+}
+
+std::string assign(std::string& out, const char* value) {
+  out = value;
+  return {};
+}
+
+enum FlagTraits : unsigned {
+  kForwarded = 0,
+  /// Never forwarded to --worker processes: reporting, the distributed
+  /// flags themselves (the coordinator appends each worker's own), and
+  /// --resume (shards already embed the restored state).
+  kCoordinatorOnly = 1u << 0,
+  /// Rejected with --sweep-faults: the sweep owns fault injection,
+  /// campaign scheduling, and its own journal.
+  kSweepConflict = 1u << 1,
+};
+
+struct Flag {
+  const char* name;
+  const char* value;  ///< the value's usage name; nullptr for a switch
+  const char* help;   ///< '\n' continues at the help column
+  unsigned traits;
+  /// Applies the value (nullptr for a switch) to the settings; returns
+  /// why the value was rejected, or the empty string.
+  std::string (*apply)(Cli& cli, const char* value);
+  const char* section = nullptr;  ///< usage heading opening a group
+};
+
+const Flag kFlags[] = {
+    {"--program", "NAME", "program to verify (see --list)", kForwarded,
+     [](Cli& c, const char* v) {
+       c.explorer.checkpoint_tag = v;
+       return assign(c.program, v);
+     },
+     "options:"},
+    {"--list", nullptr, "print the program names and exit", kCoordinatorOnly,
+     [](Cli& c, const char*) { return set(c.list); }},
+    {"--procs", "N", "ranks to simulate (default 4)", kForwarded,
+     [](Cli& c, const char* v) { return integer(v, 1, &c.explorer.nprocs); }},
+    {"--k", "N", "bounded mixing window (default: unbounded)", kForwarded,
+     [](Cli& c, const char* v) {
+       return integer(v, 0, &c.explorer.mixing_bound.emplace());
+     }},
+    {"--clock", "lamport|vector", "causality tracker (default lamport)",
+     kForwarded,
+     [](Cli& c, const char* v) -> std::string {
+       if (std::strcmp(v, "lamport") == 0) {
+         c.explorer.clock_mode = core::ClockMode::kLamport;
+       } else if (std::strcmp(v, "vector") == 0) {
+         c.explorer.clock_mode = core::ClockMode::kVector;
+       } else {
+         return "expected lamport or vector";
+       }
+       return {};
+     }},
+    {"--max-interleavings", "N", "exploration budget (default 4096)",
+     kForwarded,
+     [](Cli& c, const char* v) {
+       return integer(v, 0, &c.explorer.max_interleavings);
+     }},
+    {"--deferred-sync", nullptr,
+     "enable the par-of-clocks fix for the S5 pattern", kForwarded,
+     [](Cli& c, const char*) { return set(c.explorer.deferred_clock_sync); }},
+    {"--auto-loop", "N", "automatic loop detection threshold", kForwarded,
+     [](Cli& c, const char* v) {
+       return integer(v, 0, &c.explorer.auto_loop_threshold);
+     }},
+    {"--jobs", "N",
+     "replay-worker pool width (default 1; results\n"
+     "are identical at every width)",
+     kForwarded,
+     [](Cli& c, const char* v) { return integer(v, 1, &c.explorer.jobs); }},
+    {"--sched", "KIND",
+     "rank scheduler: thread (OS thread per rank),\n"
+     "coop / coop-rr, coop-random, coop-priority\n"
+     "(deterministic run-to-block fibers; default\n"
+     "thread, or $DAMPI_SCHED when set)",
+     kForwarded,
+     [](Cli& c, const char* v) -> std::string {
+       if (mpism::parse_sched_spec(v, &c.explorer.sched)) return {};
+       return "expected thread, coop, coop-rr, coop-random or coop-priority";
+     }},
+    {"--sched-seed", "N", "seed for coop-random / coop-priority picks",
+     kForwarded,
+     [](Cli& c, const char* v) {
+       return integer(v, 0, &c.explorer.sched.seed);
+     }},
+    {"--por", "MODE",
+     "partial-order reduction: sleep (commuting-decision\n"
+     "sleep sets, default) or off (full cross-product\n"
+     "baseline; $DAMPI_POR when set); same bugs and\n"
+     "per-epoch outcomes in <= interleavings",
+     kForwarded,
+     [](Cli& c, const char* v) -> std::string {
+       if (core::parse_por_spec(v, &c.explorer.por)) return {};
+       return "expected sleep or off";
+     }},
+    {"--isp", nullptr, "use the centralized ISP baseline instead",
+     kSweepConflict, [](Cli& c, const char*) { return set(c.use_isp); }},
+    {"--save-repro", "FILE", "write the first bug's epoch-decisions file",
+     kCoordinatorOnly | kSweepConflict,
+     [](Cli& c, const char* v) { return assign(c.save_repro_path, v); }},
+    {"--replay", "FILE", "run once under a saved epoch-decisions file",
+     kSweepConflict,
+     [](Cli& c, const char* v) { return assign(c.replay_path, v); }},
+    {"--trace", "FILE",
+     "record a Chrome trace_event JSON of the run\n"
+     "(open in chrome://tracing or Perfetto)",
+     kCoordinatorOnly,
+     [](Cli& c, const char* v) { return assign(c.trace_path, v); }},
+    {"--trace-capacity", "N", "events retained per lane (default 16384)",
+     kCoordinatorOnly,
+     [](Cli& c, const char* v) { return integer(v, 0, &c.trace_capacity); }},
+    {"--metrics", nullptr, "print the metrics registry after the run",
+     kCoordinatorOnly,
+     [](Cli& c, const char*) { return set(c.print_metrics); }},
+    {"--run-deadline", "SEC",
+     "per-run watchdog: kill any single run after\n"
+     "SEC wall seconds and report it as a HANG",
+     kForwarded,
+     [](Cli& c, const char* v) {
+       return seconds(v, &c.explorer.run_deadline_seconds);
+     },
+     "resilience options:"},
+    {"--run-max-ops", "N", "per-run watchdog on executed MPI operations",
+     kForwarded,
+     [](Cli& c, const char* v) {
+       return integer(v, 0, &c.explorer.max_run_ops);
+     }},
+    {"--max-wall-seconds", "S",
+     "global budget; cancels even an in-flight run", kForwarded,
+     [](Cli& c, const char* v) {
+       double budget = 0.0;
+       std::string error = seconds(v, &budget);
+       // 0 = unlimited: the explorer's and the sweep's own defaults.
+       c.explorer.max_wall_seconds =
+           budget > 0.0 ? budget : core::ExplorerOptions().max_wall_seconds;
+       c.sweep.plan_wall_seconds =
+           budget > 0.0 ? budget : sweep::SweepOptions().plan_wall_seconds;
+       return error;
+     }},
+    {"--retries", "N",
+     "re-run failed replays up to N times with\n"
+     "exponential backoff before quarantining",
+     kForwarded,
+     [](Cli& c, const char* v) {
+       return integer(v, 0, &c.explorer.max_retries);
+     }},
+    {"--fault", "SPEC",
+     "deterministic fault injection, e.g.\n"
+     "abort@1:3,delay@0:2:5000,flaky@1:1:2\n"
+     "(kinds: abort, error, delay, flaky; points\n"
+     "are rank:op-index, op indices 1-based)",
+     kSweepConflict,
+     [](Cli& c, const char* v) {
+       std::string error;
+       c.explorer.fault = mpism::parse_fault_plan(v, &error);
+       return error;
+     }},
+    {"--checkpoint", "FILE",
+     "journal the DFS frontier to FILE (atomic\n"
+     "rename) for crash-safe --resume",
+     kSweepConflict,
+     [](Cli& c, const char* v) {
+       return assign(c.explorer.checkpoint_path, v);
+     }},
+    {"--checkpoint-interval", "N", "journal every N interleavings (default 64)",
+     kForwarded,
+     [](Cli& c, const char* v) {
+       return integer(v, 0, &c.explorer.checkpoint_interval);
+     }},
+    {"--resume", nullptr,
+     "continue from --checkpoint FILE instead of\n"
+     "starting over (options must match); in sweep\n"
+     "mode, continue from --sweep-journal without\n"
+     "re-running completed plans",
+     kCoordinatorOnly, [](Cli& c, const char*) { return set(c.resume); }},
+    {"--sweep-faults", nullptr,
+     "enumerate single-point fault plans over the\n"
+     "program's op inventory and run one bounded\n"
+     "campaign per plan (a crash-tolerance matrix);\n"
+     "--max-interleavings bounds each plan's\n"
+     "campaign, --workers runs plans concurrently",
+     kForwarded, [](Cli& c, const char*) { return set(c.sweep_faults); },
+     "fault-sweep options:"},
+    {"--sweep-budget", "N",
+     "max plans (default 64; abort/error points\n"
+     "first, then sampled delay/flaky ones)",
+     kForwarded,
+     [](Cli& c, const char* v) { return integer(v, 1, &c.sweep.budget); }},
+    {"--sweep-seed", "N", "seeds the delay/flaky sampler (default 1)",
+     kForwarded,
+     [](Cli& c, const char* v) { return integer(v, 0, &c.sweep.seed); }},
+    {"--sweep-kinds", "SPEC",
+     "fault families to sweep, e.g. abort,delay\n"
+     "(default all)",
+     kForwarded,
+     [](Cli& c, const char* v) {
+       std::string error;
+       sweep::parse_sweep_kinds(v, &c.sweep.kinds, &error);
+       return error;
+     }},
+    {"--sweep-report", "FILE",
+     "write the machine-readable JSON report;\n"
+     "byte-identical for the same (program,\n"
+     "options, budget, seed) at any --workers\n"
+     "and across kill/--resume",
+     kForwarded,
+     [](Cli& c, const char* v) { return assign(c.sweep_report_path, v); }},
+    {"--sweep-journal", "FILE",
+     "crash-safe journal of completed plans (atomic\n"
+     "rename per plan) for --resume",
+     kForwarded,
+     [](Cli& c, const char* v) { return assign(c.sweep.journal_path, v); }},
+    {"--workers", "N",
+     "distributed campaign: shard the frontier across\n"
+     "N worker processes with work-stealing; the\n"
+     "merged report and exit code are identical to a\n"
+     "single-process run's",
+     kCoordinatorOnly,
+     [](Cli& c, const char* v) { return integer(v, 1, &c.workers); },
+     "distributed options:"},
+    {"--dist-socket", "PATH",
+     "rendezvous over an AF_UNIX socket at PATH\n"
+     "instead of inherited socketpairs",
+     kCoordinatorOnly | kSweepConflict,
+     [](Cli& c, const char* v) { return assign(c.dist_socket, v); }},
+    {"--worker", nullptr,
+     "run as a campaign worker (spawned by the\n"
+     "coordinator; not for direct use)",
+     kCoordinatorOnly | kSweepConflict,
+     [](Cli& c, const char*) { return set(c.worker_mode); }},
+    {"--worker-id", "N", "this worker's id within the campaign",
+     kCoordinatorOnly,
+     [](Cli& c, const char* v) { return integer(v, 0, &c.worker_id); }},
+    {"--coordinator-socket", "S", "worker-side channel: fd:N or a socket path",
+     kCoordinatorOnly,
+     [](Cli& c, const char* v) { return assign(c.coordinator_socket, v); }},
+};
+
 int usage(const char* argv0) {
+  std::printf("usage: %s --program <name> [options]\n       %s --list\n",
+              argv0, argv0);
+  for (const Flag& flag : kFlags) {
+    if (flag.section != nullptr) std::printf("%s\n", flag.section);
+    std::string left = std::string("  ") + flag.name;
+    if (flag.value != nullptr) left.append(" ").append(flag.value);
+    std::string help;
+    for (const char* c = flag.help; *c != '\0'; ++c) {
+      help += *c;
+      if (*c == '\n') help.append(25, ' ');
+    }
+    std::printf("%-24s %s\n", left.c_str(), help.c_str());
+  }
   std::printf(
-      "usage: %s --program <name> [options]\n"
-      "       %s --list\n"
-      "options:\n"
-      "  --procs N              ranks to simulate (default 4)\n"
-      "  --k N                  bounded mixing window (default: unbounded)\n"
-      "  --clock lamport|vector causality tracker (default lamport)\n"
-      "  --max-interleavings N  exploration budget (default 4096)\n"
-      "  --deferred-sync        enable the par-of-clocks fix for the S5 "
-      "pattern\n"
-      "  --auto-loop N          automatic loop detection threshold\n"
-      "  --jobs N               replay-worker pool width (default 1; "
-      "results\n"
-      "                         are identical at every width)\n"
-      "  --sched KIND           rank scheduler: thread (OS thread per "
-      "rank),\n"
-      "                         coop / coop-rr, coop-random, coop-priority\n"
-      "                         (deterministic run-to-block fibers; "
-      "default\n"
-      "                         thread, or $DAMPI_SCHED when set)\n"
-      "  --sched-seed N         seed for coop-random / coop-priority "
-      "picks\n"
-      "  --por MODE             partial-order reduction: sleep "
-      "(commuting-decision\n"
-      "                         sleep sets, default) or off (full "
-      "cross-product\n"
-      "                         baseline; $DAMPI_POR when set); same bugs "
-      "and\n"
-      "                         per-epoch outcomes in <= interleavings\n"
-      "  --isp                  use the centralized ISP baseline instead\n"
-      "  --save-repro FILE      write the first bug's epoch-decisions "
-      "file\n"
-      "  --replay FILE          run once under a saved epoch-decisions "
-      "file\n"
-      "  --trace FILE           record a Chrome trace_event JSON of the "
-      "run\n"
-      "                         (open in chrome://tracing or Perfetto)\n"
-      "  --trace-capacity N     events retained per lane (default 16384)\n"
-      "  --metrics              print the metrics registry after the run\n"
-      "resilience options:\n"
-      "  --run-deadline SEC     per-run watchdog: kill any single run "
-      "after\n"
-      "                         SEC wall seconds and report it as a HANG\n"
-      "  --run-max-ops N        per-run watchdog on executed MPI "
-      "operations\n"
-      "  --max-wall-seconds S   global budget; cancels even an in-flight "
-      "run\n"
-      "  --retries N            re-run failed replays up to N times with\n"
-      "                         exponential backoff before quarantining\n"
-      "  --fault SPEC           deterministic fault injection, e.g.\n"
-      "                         abort@1:3,delay@0:2:5000,flaky@1:1:2\n"
-      "                         (kinds: abort, error, delay, flaky; "
-      "points\n"
-      "                         are rank:op-index, op indices 1-based)\n"
-      "  --checkpoint FILE      journal the DFS frontier to FILE (atomic\n"
-      "                         rename) for crash-safe --resume\n"
-      "  --checkpoint-interval N  journal every N interleavings (default "
-      "64)\n"
-      "  --resume               continue from --checkpoint FILE instead "
-      "of\n"
-      "                         starting over (options must match); in "
-      "sweep\n"
-      "                         mode, continue from --sweep-journal "
-      "without\n"
-      "                         re-running completed plans\n"
-      "fault-sweep options:\n"
-      "  --sweep-faults         enumerate single-point fault plans over "
-      "the\n"
-      "                         program's op inventory and run one "
-      "bounded\n"
-      "                         campaign per plan (a crash-tolerance "
-      "matrix);\n"
-      "                         --max-interleavings bounds each plan's\n"
-      "                         campaign, --workers runs plans "
-      "concurrently\n"
-      "  --sweep-budget N       max plans (default 64; abort/error "
-      "points\n"
-      "                         first, then sampled delay/flaky ones)\n"
-      "  --sweep-seed N         seeds the delay/flaky sampler (default "
-      "1)\n"
-      "  --sweep-kinds SPEC     fault families to sweep, e.g. "
-      "abort,delay\n"
-      "                         (default all)\n"
-      "  --sweep-report FILE    write the machine-readable JSON report;\n"
-      "                         byte-identical for the same (program,\n"
-      "                         options, budget, seed) at any --workers\n"
-      "                         and across kill/--resume\n"
-      "  --sweep-journal FILE   crash-safe journal of completed plans "
-      "(atomic\n"
-      "                         rename per plan) for --resume\n"
-      "distributed options:\n"
-      "  --workers N            distributed campaign: shard the frontier "
-      "across\n"
-      "                         N worker processes with work-stealing; "
-      "the\n"
-      "                         merged report and exit code are identical "
-      "to a\n"
-      "                         single-process run's\n"
-      "  --dist-socket PATH     rendezvous over an AF_UNIX socket at PATH\n"
-      "                         instead of inherited socketpairs\n"
-      "  --worker               run as a campaign worker (spawned by the\n"
-      "                         coordinator; not for direct use)\n"
-      "  --worker-id N          this worker's id within the campaign\n"
-      "  --coordinator-socket S worker-side channel: fd:N or a socket "
-      "path\n"
       "exit codes: 0 clean, 1 bug(s) found, 2 budget exhausted / "
       "interrupted /\n"
-      "            quarantined subtrees, 3 usage or internal error\n",
-      argv0, argv0);
+      "            quarantined subtrees, 3 usage or internal error\n");
   return 3;
+}
+
+/// One flag as given on the command line.
+struct Given {
+  const Flag* flag;
+  const char* value;  ///< nullptr for a switch
+};
+
+/// Parses argv through kFlags into `cli`, recording every flag given
+/// in order. Stops at --list. Returns false, after saying why, on an
+/// unknown flag, a missing value, or a value the flag's row rejects.
+bool parse(int argc, char** argv, Cli& cli, std::vector<Given>& given) {
+  for (int i = 1; i < argc && !cli.list; ++i) {
+    const Flag* flag = nullptr;
+    for (const Flag& row : kFlags) {
+      if (std::strcmp(argv[i], row.name) == 0) flag = &row;
+    }
+    if (flag == nullptr) {
+      std::printf("unknown option: %s\n", argv[i]);
+      return false;
+    }
+    const char* value = nullptr;
+    if (flag->value != nullptr) {
+      if (i + 1 == argc) {
+        std::printf("%s requires a value\n", flag->name);
+        return false;
+      }
+      value = argv[++i];
+    }
+    const std::string error = flag->apply(cli, value);
+    if (!error.empty()) {
+      std::printf("invalid %s value '%s': %s\n", flag->name, value,
+                  error.c_str());
+      return false;
+    }
+    given.push_back({flag, value});
+  }
+  return true;
 }
 
 /// SIGINT lands here; a bridge thread polls the flag and fires the
@@ -215,305 +472,79 @@ void handle_sigint(int) {
 int main(int argc, char** argv) {
   const auto programs = program_registry();
 
-  std::string name;
-  int procs = 4;
-  std::optional<int> k;
-  core::ClockMode clock_mode = core::ClockMode::kLamport;
-  std::uint64_t max_interleavings = 4096;
-  bool deferred_sync = false;
-  int auto_loop = 0;
-  int jobs = 1;
-  mpism::SchedOptions sched = mpism::default_sched_options();
-  core::PorMode por = core::default_por_mode();
-  bool use_isp = false;
-  std::string save_repro_path;
-  std::string replay_path;
-  std::string trace_path;
-  std::size_t trace_capacity = 0;
-  bool print_metrics = false;
-  double run_deadline_seconds = 0.0;
-  std::uint64_t run_max_ops = 0;
-  double max_wall_seconds = 0.0;  // 0 = unlimited
-  int retries = 0;
-  std::string fault_spec_arg;
-  std::string checkpoint_path;
-  std::uint64_t checkpoint_interval = 64;
-  bool resume = false;
-  bool sweep_faults = false;
-  std::uint64_t sweep_budget = 64;
-  std::uint64_t sweep_seed = 1;
-  sweep::SweepKinds sweep_kinds;
-  std::string sweep_report_path;
-  std::string sweep_journal_path;
-  int workers = 0;  // 0 = in-process exploration (the default)
-  std::string dist_socket;
-  bool worker_mode = false;
-  int worker_id = 0;
-  std::string coordinator_socket;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--list") {
-      for (const auto& [prog_name, fn] : programs) {
-        std::printf("%s\n", prog_name.c_str());
-      }
-      return 0;
-    } else if (arg == "--program") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      name = v;
-    } else if (arg == "--procs") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      procs = std::atoi(v);
-    } else if (arg == "--k") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      k = std::atoi(v);
-    } else if (arg == "--clock") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      clock_mode = std::strcmp(v, "vector") == 0 ? core::ClockMode::kVector
-                                                 : core::ClockMode::kLamport;
-    } else if (arg == "--max-interleavings") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      max_interleavings = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--deferred-sync") {
-      deferred_sync = true;
-    } else if (arg == "--auto-loop") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      auto_loop = std::atoi(v);
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      jobs = std::atoi(v);
-      if (jobs < 1) {
-        std::printf("--jobs must be >= 1\n");
-        return usage(argv[0]);
-      }
-    } else if (arg == "--sched") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (!mpism::parse_sched_spec(v, &sched)) {
-        std::printf("unknown --sched value: %s\n", v);
-        return usage(argv[0]);
-      }
-    } else if (arg == "--sched-seed") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      sched.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--por") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (!core::parse_por_spec(v, &por)) {
-        std::printf("unknown --por value: %s\n", v);
-        return usage(argv[0]);
-      }
-    } else if (arg == "--isp") {
-      use_isp = true;
-    } else if (arg == "--save-repro") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      save_repro_path = v;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      replay_path = v;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      trace_path = v;
-    } else if (arg == "--trace-capacity") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      trace_capacity = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--metrics") {
-      print_metrics = true;
-    } else if (arg == "--run-deadline") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      run_deadline_seconds = std::atof(v);
-    } else if (arg == "--run-max-ops") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      run_max_ops = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--max-wall-seconds") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      max_wall_seconds = std::atof(v);
-    } else if (arg == "--retries") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      retries = std::atoi(v);
-    } else if (arg == "--fault") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      fault_spec_arg = v;
-    } else if (arg == "--checkpoint") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      checkpoint_path = v;
-    } else if (arg == "--checkpoint-interval") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      checkpoint_interval = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--sweep-faults") {
-      sweep_faults = true;
-    } else if (arg == "--sweep-budget") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      sweep_budget = std::strtoull(v, nullptr, 10);
-      if (sweep_budget == 0) {
-        std::printf("--sweep-budget must be >= 1\n");
-        return usage(argv[0]);
-      }
-    } else if (arg == "--sweep-seed") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      sweep_seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--sweep-kinds") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      std::string error;
-      if (!sweep::parse_sweep_kinds(v, &sweep_kinds, &error)) {
-        std::printf("bad --sweep-kinds: %s\n", error.c_str());
-        return usage(argv[0]);
-      }
-    } else if (arg == "--sweep-report") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      sweep_report_path = v;
-    } else if (arg == "--sweep-journal") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      sweep_journal_path = v;
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      workers = std::atoi(v);
-      if (workers < 1) {
-        std::printf("--workers must be >= 1\n");
-        return usage(argv[0]);
-      }
-    } else if (arg == "--dist-socket") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      dist_socket = v;
-    } else if (arg == "--worker") {
-      worker_mode = true;
-    } else if (arg == "--worker-id") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      worker_id = std::atoi(v);
-    } else if (arg == "--coordinator-socket") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      coordinator_socket = v;
-    } else {
-      std::printf("unknown option: %s\n", arg.c_str());
-      return usage(argv[0]);
+  Cli cli;
+  std::vector<Given> given;
+  if (!parse(argc, argv, cli, given)) return usage(argv[0]);
+  if (cli.list) {
+    for (const auto& [prog_name, fn] : programs) {
+      std::printf("%s\n", prog_name.c_str());
     }
+    return 0;
   }
 
-  auto it = programs.find(name);
+  auto it = programs.find(cli.program);
   if (it == programs.end()) {
     std::printf("unknown or missing --program (try --list)\n");
     return usage(argv[0]);
   }
+  const mpism::ProgramFn& program = it->second;
+  core::ExplorerOptions& explorer_options = cli.explorer;
 
-  if (!trace_path.empty()) {
+  if (!cli.trace_path.empty()) {
     if (!DAMPI_TRACE_ENABLED) {
       std::printf(
           "warning: this binary was built with DAMPI_TRACE=OFF; the "
           "trace will contain no events\n");
     }
-    if (trace_capacity > 0) {
-      obs::Tracer::instance().set_capacity(trace_capacity);
+    if (cli.trace_capacity > 0) {
+      obs::Tracer::instance().set_capacity(cli.trace_capacity);
     }
     obs::Tracer::instance().set_enabled(true);
   }
   // Emits the trace/metrics on every exit path of the run below.
   auto finish = [&](int code) {
-    if (!trace_path.empty()) {
+    if (!cli.trace_path.empty()) {
       obs::Tracer::instance().set_enabled(false);
-      if (obs::write_chrome_trace(trace_path)) {
-        std::printf("trace written          : %s\n", trace_path.c_str());
+      if (obs::write_chrome_trace(cli.trace_path)) {
+        std::printf("trace written          : %s\n", cli.trace_path.c_str());
       } else {
-        std::printf("could not write trace %s\n", trace_path.c_str());
+        std::printf("could not write trace %s\n", cli.trace_path.c_str());
         code = code == 0 ? 3 : code;
       }
     }
-    if (print_metrics) {
+    if (cli.print_metrics) {
       std::printf("metrics:\n%s", obs::Registry::instance().dump().c_str());
     }
     return code;
   };
 
-  core::ExplorerOptions explorer_options;
-  explorer_options.nprocs = procs;
-  explorer_options.mixing_bound = k;
-  explorer_options.clock_mode = clock_mode;
-  explorer_options.max_interleavings = max_interleavings;
-  explorer_options.deferred_clock_sync = deferred_sync;
-  explorer_options.auto_loop_threshold = auto_loop;
-  explorer_options.jobs = jobs;
-  explorer_options.sched = sched;
-  explorer_options.por = por;
-  explorer_options.run_deadline_seconds = run_deadline_seconds;
-  explorer_options.max_run_ops = run_max_ops;
-  if (max_wall_seconds > 0.0) {
-    explorer_options.max_wall_seconds = max_wall_seconds;
-  }
-  explorer_options.max_retries = retries;
-  explorer_options.checkpoint_path = checkpoint_path;
-  explorer_options.checkpoint_interval = checkpoint_interval;
-  explorer_options.checkpoint_tag = name;
-  if (!fault_spec_arg.empty()) {
-    std::string error;
-    explorer_options.fault = mpism::parse_fault_plan(fault_spec_arg, &error);
-    if (!explorer_options.fault) {
-      std::printf("bad --fault spec: %s\n", error.c_str());
-      return usage(argv[0]);
-    }
+  if (explorer_options.fault) {
     // Eager semantic validation: a point aimed at a rank this campaign
     // does not simulate would sit silently unreachable for the whole
     // run — reject it now, naming the offending point.
-    error = mpism::validate_fault_plan(*explorer_options.fault, procs);
+    const std::string error = mpism::validate_fault_plan(
+        *explorer_options.fault, explorer_options.nprocs);
     if (!error.empty()) {
       std::printf("bad --fault spec: %s\n", error.c_str());
       return 3;
     }
   }
 
-  if (sweep_faults) {
-    // The sweep owns fault injection, campaign scheduling, and its own
-    // journal; modes that would fight over those are rejected eagerly.
-    const char* conflict = nullptr;
-    if (!fault_spec_arg.empty()) conflict = "--fault";
-    if (use_isp) conflict = "--isp";
-    if (!replay_path.empty()) conflict = "--replay";
-    if (worker_mode) conflict = "--worker";
-    if (!checkpoint_path.empty()) conflict = "--checkpoint";
-    if (!dist_socket.empty()) conflict = "--dist-socket";
-    if (!save_repro_path.empty()) conflict = "--save-repro";
-    if (conflict != nullptr) {
-      std::printf("--sweep-faults cannot be combined with %s\n", conflict);
-      return usage(argv[0]);
+  if (cli.sweep_faults) {
+    for (const Given& g : given) {
+      if ((g.flag->traits & kSweepConflict) != 0) {
+        std::printf("--sweep-faults cannot be combined with %s\n",
+                    g.flag->name);
+        return usage(argv[0]);
+      }
     }
-    if (resume && sweep_journal_path.empty()) {
+    if (cli.resume && cli.sweep.journal_path.empty()) {
       std::printf("--resume in sweep mode requires --sweep-journal FILE\n");
       return usage(argv[0]);
     }
   }
-  if (worker_mode) {
-    if (coordinator_socket.empty()) {
+  if (cli.worker_mode) {
+    if (cli.coordinator_socket.empty()) {
       std::printf("--worker requires --coordinator-socket\n");
       return usage(argv[0]);
     }
@@ -522,13 +553,14 @@ int main(int argc, char** argv) {
     // over the channel, or every ^C would look like a crash storm.
     std::signal(SIGINT, SIG_IGN);
     dist::WorkerConfig config;
-    config.socket_spec = coordinator_socket;
-    config.worker_id = worker_id;
+    config.socket_spec = cli.coordinator_socket;
+    config.worker_id = cli.worker_id;
     config.options = explorer_options;
-    return dist::run_worker(config, it->second);
+    return dist::run_worker(config, program);
   }
 
-  if (resume && !sweep_faults) {
+  if (cli.resume && !cli.sweep_faults) {
+    const std::string& checkpoint_path = explorer_options.checkpoint_path;
     if (checkpoint_path.empty()) {
       std::printf("--resume requires --checkpoint FILE\n");
       return usage(argv[0]);
@@ -566,57 +598,51 @@ int main(int argc, char** argv) {
     if (sigint_bridge.joinable()) sigint_bridge.join();
   };
 
-  if (sweep_faults) {
-    sweep::SweepOptions sweep_options;
+  if (cli.sweep_faults) {
+    sweep::SweepOptions& sweep_options = cli.sweep;
     sweep_options.explorer = explorer_options;
     // Per-campaign budget, not a whole-sweep one: each plan's
     // exploration is bounded by the interleaving budget independently.
-    sweep_options.plan_max_interleavings = max_interleavings;
-    if (max_wall_seconds > 0.0) {
-      sweep_options.plan_wall_seconds = max_wall_seconds;
-    }
-    sweep_options.program_name = name;
-    sweep_options.budget = sweep_budget;
-    sweep_options.seed = sweep_seed;
-    sweep_options.kinds = sweep_kinds;
+    sweep_options.plan_max_interleavings = explorer_options.max_interleavings;
+    sweep_options.program_name = cli.program;
     // --workers here fans plan campaigns out across threads (no
     // coordinator processes: campaigns are already independent).
-    sweep_options.workers = workers > 0 ? workers : 1;
-    sweep_options.journal_path = sweep_journal_path;
-    sweep_options.resume = resume;
+    sweep_options.workers = cli.workers > 0 ? cli.workers : 1;
+    sweep_options.resume = cli.resume;
     sweep_options.cancel = cancel;
 
     const sweep::SweepResult sweep_result =
-        sweep::run_sweep(sweep_options, it->second);
+        sweep::run_sweep(sweep_options, program);
     stop_bridge();
     std::printf("%s",
                 sweep::format_sweep_summary(sweep_options, sweep_result)
                     .c_str());
     int code = sweep::sweep_exit_code(sweep_result);
-    if (!sweep_journal_path.empty() && sweep_result.error.empty()) {
-      std::printf("sweep journal          : %s%s\n",
-                  sweep_journal_path.c_str(),
+    const std::string& journal_path = sweep_options.journal_path;
+    if (!journal_path.empty() && sweep_result.error.empty()) {
+      std::printf("sweep journal          : %s%s\n", journal_path.c_str(),
                   sweep_result.interrupted ? " (resume with --resume)" : "");
     }
-    if (!sweep_report_path.empty() && sweep_result.error.empty()) {
-      std::FILE* out = std::fopen(sweep_report_path.c_str(), "w");
+    if (!cli.sweep_report_path.empty() && sweep_result.error.empty()) {
+      std::FILE* out = std::fopen(cli.sweep_report_path.c_str(), "w");
       const std::string report =
           sweep::format_sweep_report_json(sweep_options, sweep_result);
       if (out == nullptr ||
           std::fwrite(report.data(), 1, report.size(), out) !=
               report.size()) {
-        std::printf("could not write %s\n", sweep_report_path.c_str());
+        std::printf("could not write %s\n", cli.sweep_report_path.c_str());
         code = code == 0 ? 3 : code;
       } else {
         std::printf("sweep report           : %s\n",
-                    sweep_report_path.c_str());
+                    cli.sweep_report_path.c_str());
       }
       if (out != nullptr) std::fclose(out);
     }
     return finish(code);
   }
 
-  if (!replay_path.empty()) {
+  if (!cli.replay_path.empty()) {
+    const std::string& replay_path = cli.replay_path;
     std::string error;
     const auto schedule = core::load_schedule(replay_path, &error);
     if (!schedule.has_value()) {
@@ -624,8 +650,7 @@ int main(int argc, char** argv) {
       stop_bridge();
       return 3;
     }
-    const auto run =
-        core::run_guided_once(explorer_options, *schedule, it->second);
+    const auto run = core::run_guided_once(explorer_options, *schedule, program);
     stop_bridge();
     std::printf("replay of %s (%zu decisions):\n", replay_path.c_str(),
                 schedule->forced.size());
@@ -655,98 +680,69 @@ int main(int argc, char** argv) {
     return finish(0);
   }
 
-  const bool distributed = workers > 0;
-  if (distributed && use_isp) {
+  const bool distributed = cli.workers > 0;
+  if (distributed && cli.use_isp) {
     std::printf("--workers is not supported with --isp\n");
     stop_bridge();
     return usage(argv[0]);
   }
 
-  core::VerifyResult result;
+  // A distributed campaign replaces the in-process walk; the native
+  // baseline and the verdicts come from the same core::verify_campaign.
   std::string dist_error;
   dist::DistStats dist_stats;
-  if (distributed) {
-    // Native baseline first (same as Verifier::verify), then the
-    // sharded campaign instead of the in-process walk.
-    {
-      mpism::RunOptions native;
-      native.nprocs = explorer_options.nprocs;
-      native.cost = explorer_options.cost;
-      native.policy = explorer_options.policy;
-      native.policy_seed = explorer_options.policy_seed;
-      native.sched = explorer_options.sched;
-      native.max_run_wall_seconds = explorer_options.run_deadline_seconds;
-      native.max_run_vtime_us = explorer_options.max_run_vtime_us;
-      native.max_ops = explorer_options.max_run_ops;
-      native.cancel = explorer_options.cancel;
-      mpism::Runtime runtime(std::move(native));
-      result.native_vtime_us = runtime.run(it->second).vtime_us;
-    }
-
+  auto shard_campaign = [&](const core::ExplorerOptions& options) {
     dist::DistOptions dist_options;
-    dist_options.workers = workers;
-    dist_options.socket_path = dist_socket;
-    dist_options.explorer = explorer_options;
-    // Workers re-parse this binary's own arguments, minus anything that
-    // is coordinator-only (reporting, the distributed flags themselves,
-    // --resume: shards already embed the restored state).
+    dist_options.workers = cli.workers;
+    dist_options.socket_path = cli.dist_socket;
+    dist_options.explorer = options;
+    // Workers re-parse this binary's own flags, minus the
+    // coordinator-only ones, so they build the same options (and the
+    // same options_fingerprint) from the same table.
     dist_options.worker_argv.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--workers" || arg == "--dist-socket" || arg == "--trace" ||
-          arg == "--trace-capacity" || arg == "--save-repro") {
-        ++i;  // skip the flag's value too
-        continue;
-      }
-      if (arg == "--metrics" || arg == "--resume") continue;
-      dist_options.worker_argv.push_back(arg);
+    for (const Given& g : given) {
+      if ((g.flag->traits & kCoordinatorOnly) != 0) continue;
+      dist_options.worker_argv.push_back(g.flag->name);
+      if (g.value != nullptr) dist_options.worker_argv.push_back(g.value);
     }
-
     dist::DistResult dist_result = dist::run_distributed(dist_options,
-                                                         it->second);
+                                                         program);
     dist_error = dist_result.error;
     dist_stats = dist_result.stats;
     for (const auto& [wid, dump] : dist_result.worker_metrics) {
+      // Appended, not `"w" + std::to_string(wid)`: GCC 12 at -O3 reports
+      // a false -Wrestrict on that operator+.
       std::string prefix = "w";
       prefix += std::to_string(wid);
       obs::Registry::instance().merge_dump(dump, prefix);
     }
-    result.exploration = std::move(dist_result.exploration);
-    result.instrumented_vtime_us = result.exploration.first_run_vtime_us;
-    if (result.native_vtime_us > 0.0) {
-      result.slowdown =
-          result.instrumented_vtime_us / result.native_vtime_us;
-    }
-    result.comm_leaks = result.exploration.first_report.comm_leaks;
-    result.request_leaks = result.exploration.first_report.request_leaks;
-    for (const core::BugRecord& bug : result.exploration.bugs) {
-      if (bug.kind == core::BugRecord::Kind::kDeadlock) {
-        result.deadlock_found = true;
-      }
-      if (bug.kind == core::BugRecord::Kind::kError) result.error_found = true;
-      if (bug.kind == core::BugRecord::Kind::kHang) result.hang_found = true;
-    }
-  } else if (use_isp) {
+    return std::move(dist_result.exploration);
+  };
+
+  core::VerifyResult result;
+  if (cli.use_isp) {
     isp::IspOptions options;
     options.explorer = explorer_options;
-    isp::IspVerifier verifier(options);
-    result = verifier.verify(it->second);
+    result = isp::IspVerifier(options).verify(program);
   } else {
     core::VerifyOptions options;
     options.explorer = explorer_options;
-    core::Verifier verifier(options);
-    result = verifier.verify(it->second);
+    result = distributed
+                 ? core::verify_campaign(options, program, shard_campaign)
+                 : core::Verifier(options).verify(program);
   }
   stop_bridge();
 
   std::printf("program                : %s (%d ranks, %s, sched %s, por %s)\n",
-              name.c_str(), procs, use_isp ? "ISP baseline" : "DAMPI",
-              mpism::sched_spec(sched).c_str(), core::por_spec(por));
+              cli.program.c_str(), explorer_options.nprocs,
+              cli.use_isp ? "ISP baseline" : "DAMPI",
+              mpism::sched_spec(explorer_options.sched).c_str(),
+              core::por_spec(explorer_options.por));
   if (distributed) {
     std::printf(
         "distributed campaign   : %d workers (%d spawned), %llu shards "
         "(%llu stolen, %llu escaped, %llu requeued), %d worker deaths\n",
-        workers, dist_stats.workers_spawned,
+        cli.workers, dist_stats.workers_spawned,
         static_cast<unsigned long long>(dist_stats.shards_initial),
         static_cast<unsigned long long>(dist_stats.shards_stolen),
         static_cast<unsigned long long>(dist_stats.shards_escaped),
@@ -768,13 +764,12 @@ int main(int argc, char** argv) {
                          e.quarantined > 0;
     return finish(partial ? 2 : 0);
   }
-  if (!save_repro_path.empty()) {
-    if (core::save_schedule(result.exploration.bugs.front().schedule,
-                            save_repro_path)) {
+  if (!cli.save_repro_path.empty()) {
+    if (core::save_schedule(e.bugs.front().schedule, cli.save_repro_path)) {
       std::printf("reproducer saved       : %s (replay with --replay)\n",
-                  save_repro_path.c_str());
+                  cli.save_repro_path.c_str());
     } else {
-      std::printf("could not write %s\n", save_repro_path.c_str());
+      std::printf("could not write %s\n", cli.save_repro_path.c_str());
     }
   }
   return finish(1);

@@ -168,16 +168,7 @@ DecisionFootprint frame_footprint(const DfsFrame& frame) {
 
 Explorer::Explorer(ExplorerOptions options) : options_(std::move(options)) {}
 
-SingleRun run_guided_once(const ExplorerOptions& options,
-                          const Schedule& schedule,
-                          const mpism::ProgramFn& program) {
-  auto sink = std::make_shared<TraceSink>();
-  auto shared = std::make_shared<DampiShared>(options, schedule, sink);
-  std::shared_ptr<piggyback::TelepathicBoard> board;
-  if (options.transport == piggyback::TransportKind::kTelepathic) {
-    board = std::make_shared<piggyback::TelepathicBoard>();
-  }
-
+mpism::RunOptions run_options_for(const ExplorerOptions& options) {
   mpism::RunOptions run_options;
   run_options.nprocs = options.nprocs;
   run_options.cost = options.cost;
@@ -188,6 +179,20 @@ SingleRun run_guided_once(const ExplorerOptions& options,
   run_options.max_run_vtime_us = options.max_run_vtime_us;
   run_options.max_ops = options.max_run_ops;
   run_options.cancel = options.cancel;
+  return run_options;
+}
+
+SingleRun run_guided_once(const ExplorerOptions& options,
+                          const Schedule& schedule,
+                          const mpism::ProgramFn& program) {
+  auto sink = std::make_shared<TraceSink>();
+  auto shared = std::make_shared<DampiShared>(options, schedule, sink);
+  std::shared_ptr<piggyback::TelepathicBoard> board;
+  if (options.transport == piggyback::TransportKind::kTelepathic) {
+    board = std::make_shared<piggyback::TelepathicBoard>();
+  }
+
+  mpism::RunOptions run_options = run_options_for(options);
   run_options.tools = make_dampi_setup(shared, board);
   if (options.fault) {
     // Fault layers sit at the very top of each rank's stack so an

@@ -192,6 +192,11 @@ struct SingleRun {
   std::uint64_t divergences = 0;
 };
 
+/// The runtime knobs every run of a campaign shares, native or
+/// instrumented: size, cost model, policy, scheduler, the per-run
+/// watchdog budgets and cancellation. Callers add the tool layers.
+mpism::RunOptions run_options_for(const ExplorerOptions& options);
+
 SingleRun run_guided_once(const ExplorerOptions& options,
                           const Schedule& schedule,
                           const mpism::ProgramFn& program);

@@ -2,31 +2,20 @@
 
 namespace dampi::core {
 
-VerifyResult Verifier::verify(const mpism::ProgramFn& program,
-                              const Explorer::RunObserver& observer) {
+VerifyResult verify_campaign(const VerifyOptions& options,
+                             const mpism::ProgramFn& program,
+                             const Campaign& campaign) {
   VerifyResult result;
 
-  if (options_.measure_native) {
-    mpism::RunOptions native;
-    native.nprocs = options_.explorer.nprocs;
-    native.cost = options_.explorer.cost;
-    native.policy = options_.explorer.policy;
-    native.policy_seed = options_.explorer.policy_seed;
-    native.sched = options_.explorer.sched;
-    // Watchdog budgets and external cancellation also guard the native
-    // measurement run: a program that livelocks natively must not wedge
-    // the verifier before exploration even starts.
-    native.max_run_wall_seconds = options_.explorer.run_deadline_seconds;
-    native.max_run_vtime_us = options_.explorer.max_run_vtime_us;
-    native.max_ops = options_.explorer.max_run_ops;
-    native.cancel = options_.explorer.cancel;
-    mpism::Runtime runtime(std::move(native));
-    const mpism::RunReport report = runtime.run(program);
-    result.native_vtime_us = report.vtime_us;
+  if (options.measure_native) {
+    // run_options_for carries the watchdog budgets and cancellation too:
+    // a program that livelocks natively must not wedge the verifier
+    // before exploration even starts.
+    mpism::Runtime runtime(run_options_for(options.explorer));
+    result.native_vtime_us = runtime.run(program).vtime_us;
   }
 
-  Explorer explorer(options_.explorer);
-  result.exploration = explorer.explore(program, observer);
+  result.exploration = campaign(options.explorer);
 
   result.instrumented_vtime_us = result.exploration.first_run_vtime_us;
   if (result.native_vtime_us > 0.0) {
@@ -40,6 +29,15 @@ VerifyResult Verifier::verify(const mpism::ProgramFn& program,
     if (bug.kind == BugRecord::Kind::kHang) result.hang_found = true;
   }
   return result;
+}
+
+VerifyResult Verifier::verify(const mpism::ProgramFn& program,
+                              const Explorer::RunObserver& observer) {
+  return verify_campaign(options_, program,
+                         [&](const ExplorerOptions& explorer_options) {
+                           return Explorer(explorer_options)
+                               .explore(program, observer);
+                         });
 }
 
 }  // namespace dampi::core

@@ -12,6 +12,8 @@
 // instrumentation slowdown, and §V unsafe-pattern alerts.
 #pragma once
 
+#include <functional>
+
 #include "core/explorer.hpp"
 #include "core/options.hpp"
 
@@ -47,6 +49,17 @@ struct VerifyResult {
            request_leaks == 0;
   }
 };
+
+/// A campaign over the (already adjusted) exploration options: the
+/// in-process Explorer walk, or a sharded one (dist::run_distributed).
+using Campaign = std::function<ExploreResult(const ExplorerOptions&)>;
+
+/// The one verify path of every front end (in-process, distributed,
+/// ISP): the native baseline run when `options.measure_native`, then
+/// `campaign`, summarized into slowdown, leak counts and verdict flags.
+VerifyResult verify_campaign(const VerifyOptions& options,
+                             const mpism::ProgramFn& program,
+                             const Campaign& campaign);
 
 class Verifier {
  public:
