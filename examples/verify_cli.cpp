@@ -50,47 +50,70 @@ using namespace dampi;
 
 namespace {
 
-std::map<std::string, mpism::ProgramFn> program_registry() {
-  std::map<std::string, mpism::ProgramFn> programs;
-  programs["fig3"] = workloads::fig3_wildcard_bug;
-  programs["fig3-benign"] = workloads::fig3_benign;
-  programs["fig4"] = workloads::fig4_cross_coupled;
-  programs["fig10"] = workloads::fig10_unsafe_pattern;
-  programs["deadlock"] = workloads::simple_deadlock;
-  programs["wildcard-deadlock"] = workloads::wildcard_dependent_deadlock;
-  programs["leaky"] = workloads::leaky_program;
-  programs["livelock"] = workloads::livelock;
-  programs["dist-fanout"] = [](mpism::Proc& p) {
-    workloads::dist_fanout(p, /*rounds=*/2, /*spin_us=*/200.0);
-  };
-  programs["fan-in-groups"] = [](mpism::Proc& p) {
-    workloads::fan_in_groups(p, /*groups=*/p.size() / 3);
-  };
-  programs["matmult"] = [](mpism::Proc& p) {
-    workloads::MatmultConfig config;
-    config.n = 8;
-    config.chunk_rows = 1;
-    workloads::matmult(p, config);
-  };
-  programs["matmult-bug"] = [](mpism::Proc& p) {
-    workloads::MatmultConfig config;
-    config.n = 8;
-    config.chunk_rows = 1;
-    config.inject_order_bug = true;
-    workloads::matmult(p, config);
-  };
-  programs["adlb"] = [](mpism::Proc& p) {
-    workloads::adlb::Config config;
-    config.roots_per_server = 4;
-    workloads::adlb::run(p, config);
-  };
-  programs["parmetis"] = [](mpism::Proc& p) {
-    workloads::parmetis_proxy(p, workloads::ParmetisConfig{}.scaled(5));
-  };
+/// A registered program and the fewest ranks it runs on (its
+/// precondition on the communicator size), so a short --procs is a
+/// usage error instead of a failure inside the run.
+struct ProgramEntry {
+  mpism::ProgramFn fn;
+  int min_procs = 1;
+};
+
+std::map<std::string, ProgramEntry> program_registry() {
+  std::map<std::string, ProgramEntry> programs;
+  programs["fig3"] = {workloads::fig3_wildcard_bug, 3};
+  programs["fig3-benign"] = {workloads::fig3_benign, 3};
+  programs["fig4"] = {workloads::fig4_cross_coupled, 4};
+  programs["fig10"] = {workloads::fig10_unsafe_pattern, 3};
+  programs["deadlock"] = {workloads::simple_deadlock, 2};
+  programs["wildcard-deadlock"] = {workloads::wildcard_dependent_deadlock, 3};
+  programs["leaky"] = {workloads::leaky_program, 1};
+  programs["livelock"] = {workloads::livelock, 2};
+  programs["dist-fanout"] = {
+      [](mpism::Proc& p) {
+        workloads::dist_fanout(p, /*rounds=*/2, /*spin_us=*/200.0);
+      },
+      2};
+  programs["fan-in-groups"] = {
+      [](mpism::Proc& p) {
+        workloads::fan_in_groups(p, /*groups=*/p.size() / 3);
+      },
+      3};
+  programs["matmult"] = {
+      [](mpism::Proc& p) {
+        workloads::MatmultConfig config;
+        config.n = 8;
+        config.chunk_rows = 1;
+        workloads::matmult(p, config);
+      },
+      2};
+  programs["matmult-bug"] = {
+      [](mpism::Proc& p) {
+        workloads::MatmultConfig config;
+        config.n = 8;
+        config.chunk_rows = 1;
+        config.inject_order_bug = true;
+        workloads::matmult(p, config);
+      },
+      2};
+  // One server plus at least one worker.
+  programs["adlb"] = {
+      [](mpism::Proc& p) {
+        workloads::adlb::Config config;
+        config.roots_per_server = 4;
+        workloads::adlb::run(p, config);
+      },
+      2};
+  programs["parmetis"] = {
+      [](mpism::Proc& p) {
+        workloads::parmetis_proxy(p, workloads::ParmetisConfig{}.scaled(5));
+      },
+      1};
   for (const auto& entry : workloads::table2_suite()) {
-    programs[entry.spec.name] = [spec = entry.spec](mpism::Proc& p) {
-      workloads::run_skeleton(p, spec);
-    };
+    programs[entry.spec.name] = {
+        [spec = entry.spec](mpism::Proc& p) {
+          workloads::run_skeleton(p, spec);
+        },
+        1};
   }
   return programs;
 }
@@ -476,7 +499,7 @@ int main(int argc, char** argv) {
   std::vector<Given> given;
   if (!parse(argc, argv, cli, given)) return usage(argv[0]);
   if (cli.list) {
-    for (const auto& [prog_name, fn] : programs) {
+    for (const auto& [prog_name, entry] : programs) {
       std::printf("%s\n", prog_name.c_str());
     }
     return 0;
@@ -487,8 +510,14 @@ int main(int argc, char** argv) {
     std::printf("unknown or missing --program (try --list)\n");
     return usage(argv[0]);
   }
-  const mpism::ProgramFn& program = it->second;
+  const mpism::ProgramFn& program = it->second.fn;
   core::ExplorerOptions& explorer_options = cli.explorer;
+  if (explorer_options.nprocs < it->second.min_procs) {
+    std::printf("program %s needs --procs >= %d (got %d)\n",
+                cli.program.c_str(), it->second.min_procs,
+                explorer_options.nprocs);
+    return 3;
+  }
 
   if (!cli.trace_path.empty()) {
     if (!DAMPI_TRACE_ENABLED) {

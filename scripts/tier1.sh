@@ -8,7 +8,8 @@
 # exit-code contract, a livelock watchdog sweep across schedulers and
 # jobs widths, and a SIGINT kill + --resume determinism smoke), the
 # distributed stage, a trace smoke test (a real workload exported with
-# --trace must validate under trace_check), a DAMPI_TRACE=OFF
+# --trace must validate under trace_check), a stack-sampler smoke
+# (scripts/stackprof builds, samples a short run and reports), a DAMPI_TRACE=OFF
 # configure+build check, a Release (-O3) configure+build check, the
 # repository benchmark's self-test (perfbench/selftest.py: builds the
 # benchmark harness against this tree and runs every workload at smoke
@@ -201,6 +202,33 @@ if [[ "${trace_rc}" != 0 && "${trace_rc}" != 2 ]]; then
 fi
 build/src/obs/trace_check "${trace_out}" --min-lanes 8
 rm -f "${trace_out}"
+
+# Stack sampler smoke (scripts/stackprof): the LD_PRELOAD sampler
+# compiles, a short run under it leaves a dump, and report.py resolves
+# it. Only the exit codes and the report header are checked: sample
+# counts depend on the host.
+prof_dir="build/tier1-stackprof"
+rm -rf "${prof_dir}"
+mkdir -p "${prof_dir}"
+gcc -shared -fPIC -O2 -Wall -Wextra -Werror -o "${prof_dir}/libstackprof.so" \
+  scripts/stackprof/sampler.c
+prof_rc=0
+LD_PRELOAD="${PWD}/${prof_dir}/libstackprof.so" \
+  STACKPROF_OUT="${prof_dir}/prof" \
+  build/examples/verify_cli --program matmult --procs 4 --sched coop \
+  --max-interleavings 300 > /dev/null || prof_rc=$?
+if [[ "${prof_rc}" != 0 && "${prof_rc}" != 2 ]]; then
+  echo "tier1: FAIL: run under the stack sampler exited ${prof_rc}" >&2
+  exit 1
+fi
+python3 scripts/stackprof/report.py "${prof_dir}"/prof.* \
+  > "${prof_dir}/report.txt"
+if ! head -1 "${prof_dir}/report.txt" | grep -q '^stackprof report: '; then
+  echo "tier1: FAIL: stackprof report header missing" >&2
+  exit 1
+fi
+rm -rf "${prof_dir}"
+echo "tier1: stack sampler smoke OK"
 
 # The tracer must also compile out cleanly.
 cmake -B build-off -S . -DDAMPI_TRACE=OFF

@@ -42,16 +42,19 @@ void ClockState::decode(mpism::Bytes&& remote, MsgClock* out) const {
   if (out->empty_) return;
   DAMPI_CHECK_MSG(remote.size() == vector_.size() * sizeof(VcValue),
                   "payload size mismatch");
-  out->wire_ = std::move(remote);
+  out->wire_.swap(remote);
 }
 
 void ClockState::decode(const mpism::Bytes& remote, MsgClock* out) const {
-  if (mode_ == ClockMode::kVector) {
-    decode(mpism::Bytes(remote), out);
+  out->empty_ = remote.empty();
+  if (out->empty_) return;
+  if (mode_ == ClockMode::kLamport) {
+    out->lc_ = mpism::unpack<std::uint64_t>(remote);
     return;
   }
-  out->empty_ = remote.empty();
-  if (!out->empty_) out->lc_ = mpism::unpack<std::uint64_t>(remote);
+  DAMPI_CHECK_MSG(remote.size() == vector_.size() * sizeof(VcValue),
+                  "payload size mismatch");
+  out->wire_.assign(remote.begin(), remote.end());
 }
 
 void ClockState::merge(const MsgClock& remote) {
@@ -80,16 +83,15 @@ mpism::Bytes ClockState::serialize() const {
 }
 
 void ClockState::serialize_into(mpism::Bytes* out) const {
+  // assign() copies straight in; resize() would zero-fill first.
   if (mode_ == ClockMode::kLamport) {
     const std::uint64_t v = lamport_.value();
-    out->resize(sizeof(v));
-    std::memcpy(out->data(), &v, sizeof(v));
+    const auto* bytes = reinterpret_cast<const std::byte*>(&v);
+    out->assign(bytes, bytes + sizeof(v));
     return;
   }
-  out->resize(vector_.size() * sizeof(VcValue));
-  if (!vector_.empty()) {
-    std::memcpy(out->data(), vector_.data(), out->size());
-  }
+  const auto* bytes = reinterpret_cast<const std::byte*>(vector_.data());
+  out->assign(bytes, bytes + vector_.size() * sizeof(VcValue));
 }
 
 bool ClockState::is_late(const MsgClock& msg_clock, std::uint64_t epoch_lc,

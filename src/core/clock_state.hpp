@@ -37,8 +37,9 @@ class ClockState {
 
   void tick();
   /// Decodes a serialized remote clock into `out` under this state's
-  /// clock mode. The rvalue form adopts the bytes; the const form copies
-  /// them.
+  /// clock mode. The rvalue form swaps the bytes in, so `remote` comes
+  /// back holding `out`'s previous buffer for the caller to reuse; the
+  /// const form copies them into that buffer.
   void decode(mpism::Bytes&& remote, MsgClock* out) const;
   void decode(const mpism::Bytes& remote, MsgClock* out) const;
   /// Merge a decoded remote clock (no-op if empty): one pass takes the

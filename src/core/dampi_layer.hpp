@@ -96,10 +96,17 @@ class DampiLayer final : public mpism::ToolLayer {
   ClockState& transmit_clock() { return xmit_clock_ ? *xmit_clock_ : clock_; }
   /// Decode a serialized incoming clock into incoming_ (both trackers
   /// share the clock mode, so one decode serves both). A clock the
-  /// transport handed over by value is adopted, not copied.
-  template <typename Wire>
-  const MsgClock& decode_incoming(Wire&& remote) {
-    clock_.decode(std::forward<Wire>(remote), &incoming_);
+  /// transport handed over by value is swapped in, not copied, and the
+  /// buffer it replaces carries this rank's next outgoing clock.
+  const MsgClock& decode_incoming(mpism::Bytes&& remote) {
+    clock_.decode(std::move(remote), &incoming_);
+    if (latch_send_clock_.capacity() == 0) {
+      latch_send_clock_ = std::move(remote);
+    }
+    return incoming_;
+  }
+  const MsgClock& decode_incoming(const mpism::Bytes& remote) {
+    clock_.decode(remote, &incoming_);
     return incoming_;
   }
   /// Apply a decoded incoming remote clock to both trackers.
@@ -144,7 +151,8 @@ class DampiLayer final : public mpism::ToolLayer {
 
   /// One-slot latches carrying pre-hook context into the matching post
   /// hook (hooks on a rank are strictly sequential). The send clock is
-  /// serialized in pre_isend and moved into the transport by post_isend.
+  /// serialized in pre_isend and moved into the transport by post_isend;
+  /// decode_incoming refills the emptied latch with a spent buffer.
   bool latch_irecv_was_wildcard_ = false;
   bool latch_probe_was_wildcard_ = false;
   mpism::Bytes latch_send_clock_;

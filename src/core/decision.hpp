@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -54,6 +55,26 @@ class ForcedDecisions {
     if (it != entries_.end() && it->first == key) return false;
     entries_.insert(it, {key, src});
     return true;
+  }
+
+  /// Replaces the contents with `entries`, given in any order: one sort
+  /// instead of a sorted insert per entry. On a repeated key the later
+  /// entry wins, as with operator[].
+  void assign(std::vector<value_type> entries) {
+    std::stable_sort(
+        entries.begin(), entries.end(),
+        [](const value_type& a, const value_type& b) {
+          return a.first < b.first;
+        });
+    // Keep the last of each run of equal keys.
+    auto out = entries.begin();
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      const auto next = std::next(it);
+      if (next != entries.end() && next->first == it->first) continue;
+      *out++ = *it;
+    }
+    entries.erase(out, entries.end());
+    entries_ = std::move(entries);
   }
 
   friend bool operator==(const ForcedDecisions&,

@@ -371,12 +371,15 @@ void Explorer::extend_stack(RunTrace& trace, int flip_pos,
 }
 
 Schedule Explorer::schedule_for(int frame_pos, mpism::Rank alt) const {
-  Schedule schedule;
+  std::vector<ForcedDecisions::value_type> decisions;
+  decisions.reserve(static_cast<std::size_t>(frame_pos) + 1);
   for (int j = 0; j < frame_pos; ++j) {
     const DfsFrame& f = stack_[static_cast<std::size_t>(j)];
-    schedule.forced[f.key] = f.taken_src;
+    decisions.emplace_back(f.key, f.taken_src);
   }
-  schedule.forced[stack_[static_cast<std::size_t>(frame_pos)].key] = alt;
+  decisions.emplace_back(stack_[static_cast<std::size_t>(frame_pos)].key, alt);
+  Schedule schedule;
+  schedule.forced.assign(std::move(decisions));
   return schedule;
 }
 

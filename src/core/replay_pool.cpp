@@ -139,6 +139,10 @@ void ReplayPool::worker_main(int index) {
 
 SingleRun ReplayPool::take(const Schedule& schedule,
                            std::uint64_t interleaving) {
+  // Without workers nothing was speculated: skip the cache and its key.
+  if (threads_.empty()) {
+    return execute(schedule, interleaving, /*speculative=*/false);
+  }
   const std::string key = serialize_schedule(schedule);
   std::unique_lock<std::mutex> lk(mu_);
   auto it = entries_.find(key);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "mpism/types.hpp"
@@ -29,7 +30,9 @@ struct CommRecord {
 };
 
 /// Owns all communicators of one run. Not thread-safe by itself; the
-/// engine serializes access under its engine mutex.
+/// engine serializes access under its engine mutex. Records never move:
+/// a reference from get() stays valid across create(), so a rank parked
+/// in a collective can keep one while the table grows.
 class CommTable {
  public:
   /// Sets up kCommWorld over `nprocs` ranks.
@@ -59,7 +62,7 @@ class CommTable {
   int count() const { return static_cast<int>(comms_.size()); }
 
  private:
-  std::vector<CommRecord> comms_;
+  std::deque<CommRecord> comms_;
   int world_size_ = 0;
 };
 

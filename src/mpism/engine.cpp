@@ -44,6 +44,26 @@ bool leaves_to_root(CollKind kind) {
   return kind == CollKind::kReduce || kind == CollKind::kGather;
 }
 
+std::string describe(const BlockSite& site) {
+  using Op = BlockSite::Op;
+  switch (site.op) {
+    case Op::kRecvWait:
+      return strfmt("wait(recv src=%d tag=%d comm=%d)", site.src, site.tag,
+                    site.comm);
+    case Op::kSsendWait:
+      return strfmt("wait(ssend comm=%d)", site.comm);
+    case Op::kWaitany:
+      return "waitany";
+    case Op::kProbe:
+      return strfmt("probe(src=%d tag=%d comm=%d)", site.src, site.tag,
+                    site.comm);
+    case Op::kCollective:
+      return strfmt("collective %s comm=%d gen=%llu", coll_kind_name(site.coll),
+                    site.comm, static_cast<unsigned long long>(site.gen));
+  }
+  return {};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -200,6 +220,10 @@ RunReport Engine::run(const ProgramFn& program) {
       obs::Registry::instance().counter("engine.pool.req_acquired");
   static obs::Counter& req_reused_metric =
       obs::Registry::instance().counter("engine.pool.req_reused");
+  static obs::Counter& req_slabs_metric =
+      obs::Registry::instance().counter("engine.pool.req_slabs");
+  static obs::Counter& req_capacity_metric =
+      obs::Registry::instance().counter("engine.pool.req_capacity");
   static obs::Counter& node_acquired_metric =
       obs::Registry::instance().counter("engine.pool.node_acquired");
   static obs::Counter& node_reused_metric =
@@ -214,6 +238,8 @@ RunReport Engine::run(const ProgramFn& program) {
   for (const auto& pr_ptr : ranks_) {
     req_total.acquired += pr_ptr->req_pool.stats().acquired;
     req_total.reused += pr_ptr->req_pool.stats().reused;
+    req_total.slabs += pr_ptr->req_pool.stats().slabs;
+    req_total.capacity += pr_ptr->req_pool.stats().capacity;
     const PoolStats s = pr_ptr->match.pool_stats();
     nodes.acquired += s.acquired;
     nodes.reused += s.reused;
@@ -222,6 +248,8 @@ RunReport Engine::run(const ProgramFn& program) {
   }
   req_acquired_metric.add(req_total.acquired);
   req_reused_metric.add(req_total.reused);
+  req_slabs_metric.add(req_total.slabs);
+  req_capacity_metric.add(req_total.capacity);
   node_acquired_metric.add(nodes.acquired);
   node_reused_metric.add(nodes.reused);
   buf_acquired_metric.add(buf_total.acquired);
@@ -302,25 +330,23 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
 // ---------------------------------------------------------------------------
 
 template <typename Pred>
-void Engine::blocking_wait(EngineGuard& g, Rank r, BlockKind kind,
-                           std::string desc, Pred pred) {
+void Engine::blocking_wait(EngineGuard& g, Rank r, const BlockSite& site,
+                           Pred pred) {
   if (pred()) return;
   check_abort(g);
   PerRank& me = pr(r);
   me.blocked = true;
-  me.block_kind = kind;
-  me.block_desc = std::move(desc);
+  me.block_site = site;
   me.block_pred = pred;
   blocked_count_.fetch_add(1, std::memory_order_acq_rel);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kBegin, r,
-               static_cast<std::int32_t>(kind));
+               static_cast<std::int32_t>(site.op));
   maybe_declare_deadlock();
   sched_->block(g, r);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kEnd, r,
-               static_cast<std::int32_t>(kind));
+               static_cast<std::int32_t>(site.op));
   blocked_count_.fetch_sub(1, std::memory_order_acq_rel);
   me.blocked = false;
-  me.block_kind = BlockKind::kNone;
   me.block_pred = nullptr;
   if (stopped()) {
     g.unlock();
@@ -365,7 +391,8 @@ void Engine::declare_deadlock() {
     for (Rank r = 0; r < opts_.nprocs; ++r) {
       const PerRank& p = pr(r);
       if (p.blocked) {
-        detail += strfmt("rank %d blocked in %s\n", r, p.block_desc.c_str());
+        detail += strfmt("rank %d blocked in %s\n", r,
+                         describe(p.block_site).c_str());
       }
     }
     deadlock_detail_ = detail;
@@ -619,12 +646,13 @@ void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
   DAMPI_CHECK(it != me.reqs.end());
   RequestRecord* rec = it->second.get();
   if (rec->complete.load(std::memory_order_acquire)) return;
-  const std::string desc =
-      rec->kind == ReqKind::kSend
-          ? strfmt("wait(ssend comm=%d)", rec->comm)
-          : strfmt("wait(recv src=%d tag=%d comm=%d)", rec->posted_src_world,
-                   rec->posted_tag, rec->comm);
-  blocking_wait(g, r, BlockKind::kWait, desc, [rec] {
+  BlockSite site;
+  site.op = rec->kind == ReqKind::kSend ? BlockSite::Op::kSsendWait
+                                        : BlockSite::Op::kRecvWait;
+  site.src = rec->posted_src_world;
+  site.tag = rec->posted_tag;
+  site.comm = rec->comm;
+  blocking_wait(g, r, site, [rec] {
     return rec->complete.load(std::memory_order_acquire);
   });
 }
@@ -863,7 +891,7 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
     }
     return recs.size();
   };
-  blocking_wait(g, r, BlockKind::kWait, "waitany",
+  blocking_wait(g, r, BlockSite{.op = BlockSite::Op::kWaitany},
                 [&] { return ready_index() < recs.size(); });
   const std::size_t idx = ready_index();
   DAMPI_CHECK(idx < recs.size());
@@ -951,9 +979,13 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
 
   bool found = exists();
   if (!found && call.blocking) {
-    const std::string desc =
-        strfmt("probe(src=%d tag=%d comm=%d)", call.src, call.tag, call.comm);
-    blocking_wait(g, r, BlockKind::kProbe, desc, exists);
+    BlockSite site;
+    site.op = BlockSite::Op::kProbe;
+    site.src = call.src;
+    site.tag = call.tag;
+    site.comm = call.comm;
+    // Captured by reference: fits std::function's inline buffer.
+    blocking_wait(g, r, site, [&exists] { return exists(); });
     found = true;
   } else if (!found) {
     sched_->yield(g, r);  // iprobe miss: see api_test
@@ -1084,8 +1116,9 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
   validate_comm_member(g, r, comm);
   DAMPI_TEVENT(obs::EventKind::kCollective, obs::Phase::kBegin,
                static_cast<std::int32_t>(kind), comm);
-  // Copy what we need: the comm table may grow (reallocate) while we wait.
-  const CommRecord comm_rec = comms_.get(comm);
+  // Records are address-stable (CommTable), and a communicator's member
+  // list never changes, so the reference outlives the wait below.
+  const CommRecord& comm_rec = comms_.get(comm);
   const int size = comm_rec.size();
   const Rank cr = comm_rec.world_to_comm[static_cast<std::size_t>(r)];
   const bool rooted = root_to_leaves(kind) || leaves_to_root(kind);
@@ -1165,10 +1198,13 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     return cr != root_rel || slot.arrived == size;  // leaves_to_root
   };
   if (!my_pred()) {
-    const std::string desc = strfmt("collective %s comm=%d gen=%llu",
-                                    coll_kind_name(kind), comm,
-                                    static_cast<unsigned long long>(gen));
-    blocking_wait(g, r, BlockKind::kColl, desc, my_pred);
+    BlockSite site;
+    site.op = BlockSite::Op::kCollective;
+    site.comm = comm;
+    site.coll = kind;
+    site.gen = gen;
+    // Captured by reference: fits std::function's inline buffer.
+    blocking_wait(g, r, site, [&my_pred] { return my_pred(); });
   }
 
   // Completion virtual time.

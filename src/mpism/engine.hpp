@@ -64,6 +64,19 @@ struct CollUserResult {
   CommId new_comm = kCommNull;
 };
 
+/// Where a blocked rank waits, kept as plain fields: only
+/// declare_deadlock() formats it, so a block that ends normally never
+/// builds a string.
+struct BlockSite {
+  enum class Op { kRecvWait, kSsendWait, kWaitany, kProbe, kCollective };
+  Op op = Op::kWaitany;
+  Rank src = 0;  ///< recv wait: world source; probe: comm-relative
+  Tag tag = 0;
+  CommId comm = kCommNull;
+  CollKind coll = CollKind::kBarrier;
+  std::uint64_t gen = 0;  ///< collective round on `comm`
+};
+
 class Engine {
  public:
   explicit Engine(RunOptions options);
@@ -117,7 +130,6 @@ class Engine {
   double vtime_of(Rank r);
 
  private:
-  enum class BlockKind { kNone, kWait, kProbe, kColl };
 
   struct PerRank {
     /// Pools are declared before the request table and match index so
@@ -130,8 +142,7 @@ class Engine {
     std::atomic<double> vtime{0.0};
     bool finished = false;
     bool blocked = false;
-    BlockKind block_kind = BlockKind::kNone;
-    std::string block_desc;
+    BlockSite block_site;  ///< meaningful while `blocked`
     /// Wake predicate of the blocked operation; consulted by the deadlock
     /// detector so a satisfied-but-not-yet-woken rank is not misread as
     /// stuck.
@@ -205,7 +216,7 @@ class Engine {
   /// Enter the blocked state and wait for `pred`; throws AbortRun when the
   /// run aborts or deadlocks while waiting.
   template <typename Pred>
-  void blocking_wait(EngineGuard& g, Rank r, BlockKind kind, std::string desc,
+  void blocking_wait(EngineGuard& g, Rank r, const BlockSite& site,
                      Pred pred);
   /// Called with the engine mutex held right before a rank would block
   /// (or after it finishes); if every other live rank is already

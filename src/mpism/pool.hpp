@@ -16,6 +16,7 @@
 // and publishes to the obs::Registry (`engine.pool.*`) once per run.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -33,18 +34,24 @@ struct PoolStats {
   std::uint64_t acquired = 0;  ///< total acquire() calls
   std::uint64_t reused = 0;    ///< acquires served from the freelist
   std::uint64_t slabs = 0;     ///< slab allocations (the only mallocs)
+  std::uint64_t capacity = 0;  ///< slots across all slabs
   std::uint64_t live = 0;      ///< objects currently checked out
 };
 
 /// Fixed-type object pool: acquire() placement-constructs into a slab
 /// slot (freelist first), release() destroys and recycles the slot.
 /// Slabs are only freed on destruction, so steady-state acquire/release
-/// cycles perform no allocation at all.
+/// cycles perform no allocation at all. The first slab holds
+/// kFirstSlab objects and each later one twice the last, up to
+/// `max_per_slab`: the engine builds one pool per rank per run, and most
+/// ranks never hold more than a handful of requests at once.
 template <typename T>
 class SlabPool {
  public:
-  explicit SlabPool(std::size_t objects_per_slab = 64)
-      : per_slab_(objects_per_slab == 0 ? 1 : objects_per_slab) {}
+  static constexpr std::size_t kFirstSlab = 4;
+
+  explicit SlabPool(std::size_t max_per_slab = 64)
+      : max_per_slab_(max_per_slab == 0 ? 1 : max_per_slab) {}
 
   SlabPool(const SlabPool&) = delete;
   SlabPool& operator=(const SlabPool&) = delete;
@@ -64,10 +71,13 @@ class SlabPool {
       free_ = slot->next;
       ++stats_.reused;
     } else {
-      if (next_in_slab_ == per_slab_ || slabs_.empty()) {
-        slabs_.push_back(std::make_unique<Slot[]>(per_slab_));
+      if (next_in_slab_ == slab_size_) {
+        slab_size_ = std::min(slab_size_ == 0 ? kFirstSlab : 2 * slab_size_,
+                              max_per_slab_);
+        slabs_.push_back(std::make_unique<Slot[]>(slab_size_));
         next_in_slab_ = 0;
         ++stats_.slabs;
+        stats_.capacity += slab_size_;
       }
       slot = &slabs_.back()[next_in_slab_++];
     }
@@ -94,8 +104,9 @@ class SlabPool {
     alignas(T) unsigned char storage[sizeof(T)];
   };
 
-  std::size_t per_slab_;
+  std::size_t max_per_slab_;
   std::vector<std::unique_ptr<Slot[]>> slabs_;
+  std::size_t slab_size_ = 0;  ///< objects in slabs_.back()
   std::size_t next_in_slab_ = 0;
   Slot* free_ = nullptr;
   PoolStats stats_;

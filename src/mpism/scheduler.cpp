@@ -6,7 +6,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -137,6 +139,50 @@ class ThreadScheduler final : public RankScheduler {
 };
 
 // ---------------------------------------------------------------------------
+// Fiber stack cache. Every replay builds a fresh CoopScheduler, so
+// without it each replay of a 512-rank program would allocate and free
+// 512 stacks. Stacks go back to the cache of the thread that ran the
+// scheduler once every fiber has finished, and the next scheduler run on
+// that thread takes them first. Thread-local, because a scheduler
+// dispatches only on the thread that called run(); bounded, so an idle
+// thread keeps at most kMaxStacks of one size.
+// ---------------------------------------------------------------------------
+
+class StackCache {
+ public:
+  using Stack = std::unique_ptr<char[]>;
+  static constexpr std::size_t kMaxStacks = 1024;
+
+  static StackCache& local() {
+    static thread_local StackCache cache;
+    return cache;
+  }
+
+  /// A stack of `bytes`, or null when none is cached.
+  Stack take(std::size_t bytes) {
+    if (bytes != bytes_ || free_.empty()) return nullptr;
+    Stack stack = std::move(free_.back());
+    free_.pop_back();
+    return stack;
+  }
+
+  void give(Stack stack, std::size_t bytes) {
+    if (stack == nullptr) return;
+    if (bytes != bytes_) {
+      // One size at a time: a run with another stack size replaces the
+      // cached ones.
+      free_.clear();
+      bytes_ = bytes;
+    }
+    if (free_.size() < kMaxStacks) free_.push_back(std::move(stack));
+  }
+
+ private:
+  std::size_t bytes_ = 0;
+  std::vector<Stack> free_;
+};
+
+// ---------------------------------------------------------------------------
 // CoopScheduler: one ucontext fiber per rank, all multiplexed onto the
 // thread that called run(). A fiber executes until its rank blocks in an
 // MPI operation (block() swaps back here), then the policy picks the
@@ -203,22 +249,28 @@ class CoopScheduler final : public RankScheduler {
       dispatch(r);
       ++switches;
     }
+    StackCache& cache = StackCache::local();
     for (Fiber& f : fibers_) {
       if (f.lane != nullptr) {
         obs::Tracer::instance().release(f.lane);
         f.lane = nullptr;
       }
+      // Every fiber has finished and none runs on its stack again.
+      cache.give(std::move(f.stack), opts_.stack_bytes);
     }
     static obs::Counter& runs_metric =
         obs::Registry::instance().counter("scheduler.coop_runs");
     static obs::Counter& switches_metric =
         obs::Registry::instance().counter("scheduler.switches");
+    static obs::Counter& stacks_metric =
+        obs::Registry::instance().counter("scheduler.stacks_allocated");
     static obs::Counter& wake_probes_metric =
         obs::Registry::instance().counter("scheduler.wake_probes");
     static obs::Counter& stalls_metric =
         obs::Registry::instance().counter("scheduler.stalls");
     runs_metric.add(1);
     switches_metric.add(switches);
+    stacks_metric.add(stacks_allocated_);
     wake_probes_metric.add(wake_probes_);
     stalls_metric.add(stalls_);
   }
@@ -231,7 +283,7 @@ class CoopScheduler final : public RankScheduler {
       // next dispatched rank may need the engine mutex, and it runs on
       // this very OS thread.
       g.unlock();
-      swapcontext(&f.ctx, &sched_ctx_);
+      swapcontext(f.ctx, &sched_ctx_);
       g.lock();
     }
   }
@@ -240,7 +292,7 @@ class CoopScheduler final : public RankScheduler {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
     f.state = State::kYielded;
     g.unlock();
-    swapcontext(&f.ctx, &sched_ctx_);
+    swapcontext(f.ctx, &sched_ctx_);
     g.lock();
   }
 
@@ -276,7 +328,10 @@ class CoopScheduler final : public RankScheduler {
     /// because external cancellation calls wake_all from its own thread.
     std::atomic<bool> hint{false};
     std::unique_ptr<char[]> stack;
-    ucontext_t ctx = {};
+    /// Lives at the base of `stack` (see prepare_fiber), which keeps
+    /// this struct small: 512 ranks' contexts inline would make fibers_
+    /// a half-megabyte allocation per run.
+    ucontext_t* ctx = nullptr;
     obs::Lane* lane = nullptr;
   };
 
@@ -377,7 +432,7 @@ class CoopScheduler final : public RankScheduler {
     log::set_thread_rank(r);
     obs::Lane* host_lane = nullptr;
     if (f.lane != nullptr) host_lane = obs::exchange_thread_lane(f.lane);
-    swapcontext(&sched_ctx_, &f.ctx);
+    swapcontext(&sched_ctx_, f.ctx);
     if (f.lane != nullptr) obs::exchange_thread_lane(host_lane);
     log::set_thread_rank(host_rank);
     DAMPI_TEVENT(obs::EventKind::kSchedSwitch, obs::Phase::kEnd, r);
@@ -385,15 +440,23 @@ class CoopScheduler final : public RankScheduler {
   }
 
   void prepare_fiber(Fiber& f) {
-    f.stack.reset(new char[opts_.stack_bytes]);
-    getcontext(&f.ctx);
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = opts_.stack_bytes;
-    f.ctx.uc_link = &sched_ctx_;
+    f.stack = StackCache::local().take(opts_.stack_bytes);
+    if (f.stack == nullptr) {
+      f.stack.reset(new char[opts_.stack_bytes]);
+      ++stacks_allocated_;
+    }
+    // The context takes the first bytes of the block; the fiber's stack
+    // is the rest.
+    constexpr std::size_t kCtxBytes = (sizeof(ucontext_t) + 63) / 64 * 64;
+    f.ctx = ::new (static_cast<void*>(f.stack.get())) ucontext_t;
+    getcontext(f.ctx);
+    f.ctx->uc_stack.ss_sp = f.stack.get() + kCtxBytes;
+    f.ctx->uc_stack.ss_size = opts_.stack_bytes - kCtxBytes;
+    f.ctx->uc_link = &sched_ctx_;
     // makecontext takes int arguments; smuggle `this` through two
     // halves (the classic portable idiom).
     const auto self = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&CoopScheduler::tramp),
+    makecontext(f.ctx, reinterpret_cast<void (*)()>(&CoopScheduler::tramp),
                 2, static_cast<int>(static_cast<std::uint32_t>(self >> 32)),
                 static_cast<int>(static_cast<std::uint32_t>(self)));
   }
@@ -414,7 +477,7 @@ class CoopScheduler final : public RankScheduler {
     // Yield for good; the scheduler never resumes a finished fiber, so
     // the loop is unreachable after the first swap (it exists so the
     // trampoline can never fall off the end of its makecontext frame).
-    for (;;) swapcontext(&f.ctx, &sched_ctx_);
+    for (;;) swapcontext(f.ctx, &sched_ctx_);
   }
 
   SchedOptions opts_;
@@ -430,6 +493,7 @@ class CoopScheduler final : public RankScheduler {
   int finished_ = 0;
   std::uint64_t wake_probes_ = 0;
   std::uint64_t stalls_ = 0;
+  std::uint64_t stacks_allocated_ = 0;
 };
 
 }  // namespace

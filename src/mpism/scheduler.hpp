@@ -57,7 +57,9 @@ struct SchedOptions {
   SchedPolicy pick = SchedPolicy::kRoundRobin;
   std::uint64_t seed = 1;
   /// Per-fiber stack size (coop only); allocated lazily on first
-  /// dispatch, so unstarted ranks cost nothing.
+  /// dispatch, so unstarted ranks cost nothing, and reused by the next
+  /// run on the same thread (`scheduler.stacks_allocated` counts the
+  /// stacks that were not).
   std::size_t stack_bytes = 256 * 1024;
 };
 

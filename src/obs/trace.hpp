@@ -38,7 +38,7 @@ enum class EventKind : std::uint16_t {
   kSendQueued,      ///< send queued unexpected; a=src b=dst c=tag
   kRecvPost,        ///< receive posted, no match yet; a=posted_src c=tag
   kRecvMatch,       ///< receive completed; a=src b=dst c=tag
-  kBlock,           ///< span: rank blocked; a=rank b=BlockKind ordinal
+  kBlock,           ///< span: rank blocked; a=rank b=BlockSite::Op ordinal
   kCollective,      ///< span: collective enter..exit; a=kind b=comm
   kDeadlock,        ///< instant: deadlock declared on this thread
   // DAMPI layer (lanes: "rank N")

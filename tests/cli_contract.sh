@@ -2,7 +2,9 @@
 # verify_cli contract, run by ctest under the `cli` label:
 #   1. every malformed flag value is a usage error (exit 3) naming the
 #      flag, never a crash or a silently substituted value;
-#   2. a distributed campaign reports the same exit code and verdict at
+#   2. a program run on fewer ranks than it needs is a usage error
+#      (exit 3) whose message names --procs and holds no file path;
+#   3. a distributed campaign reports the same exit code and verdict at
 #      --workers 2 as at --workers 1 (workers rebuild their options from
 #      the forwarded flags, so a flag dropped from the worker argv shows
 #      up as an options-fingerprint mismatch), and the Chrome trace the
@@ -36,6 +38,23 @@ for case in "${malformed[@]}"; do
     fail "'${case}' did not name ${args[0]}: $(head -1 <<< "${out}")"
   fi
 done
+
+short=("fig3 2" "fig3-benign 1" "fig4 3" "wildcard-deadlock 2" "deadlock 1"
+       "fan-in-groups 2" "matmult 1")
+for case in "${short[@]}"; do
+  read -r program procs <<< "${case}"
+  out="$("${cli}" --program "${program}" --procs "${procs}" --sched coop 2>&1)"
+  rc=$?
+  if [[ "${rc}" != 3 ]]; then
+    fail "${program} at --procs ${procs} exited ${rc}, expected 3: ${out}"
+  elif ! grep -q -- "--procs" <<< "${out}" || grep -q "/" <<< "${out}"; then
+    fail "${program} at --procs ${procs}: '${out}' should name --procs" \
+      "and hold no path"
+  fi
+done
+"${cli}" --program fig4 --procs 4 --sched coop > /dev/null 2>&1
+rc=$?
+[[ "${rc}" == 0 ]] || fail "fig4 at its minimum --procs 4 exited ${rc}"
 
 campaign() {  # campaign <workers> <dir>
   mkdir -p "$2"

@@ -3,6 +3,9 @@
 // are detected; progressing programs never trigger it).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "support/run_helpers.hpp"
 
 namespace dampi::test {
@@ -127,6 +130,65 @@ TEST(Deadlock, WaitanyWithUnsatisfiableRequestsDeadlocks) {
   });
   EXPECT_TRUE(report.deadlocked);
 }
+
+// The deadlock text names every blocked rank and what it waits in, one
+// line each, in rank order. Pinned verbatim for each kind of block —
+// a receive, a synchronous send, waitany, a blocking probe and a
+// collective — under both schedulers, so a change to how the engine
+// keeps a rank's block site cannot alter the report.
+class DeadlockDetailTest
+    : public ::testing::TestWithParam<mpism::SchedulerKind> {};
+
+TEST_P(DeadlockDetailTest, GoldenTextForEveryBlockKind) {
+  if (GetParam() == mpism::SchedulerKind::kCoop && !mpism::coop_supported()) {
+    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)";
+  }
+  RunOptions opts;
+  opts.nprocs = 6;
+  opts.sched.kind = GetParam();
+  auto report = run_program(opts, [](Proc& p) {
+    const mpism::CommId dup = p.comm_dup();
+    p.barrier(dup);
+    switch (p.rank()) {
+      case 0:
+        p.recv(1, 7);  // rank 1 never sends tag 7
+        break;
+      case 1:
+        p.ssend(0, 9, pack<int>(1));  // rank 0 never receives tag 9
+        break;
+      case 2: {
+        std::vector<mpism::RequestId> reqs = {p.irecv(3, 4), p.irecv(4, 4)};
+        p.waitany(reqs);
+        break;
+      }
+      case 3:
+        p.probe(4, 5, dup);
+        break;
+      default:
+        p.barrier(dup);  // ranks 0-3 never join the second barrier
+        break;
+    }
+  });
+  ASSERT_TRUE(report.deadlocked);
+  EXPECT_EQ(report.deadlock_detail,
+            "rank 0 blocked in wait(recv src=1 tag=7 comm=0)\n"
+            "rank 1 blocked in wait(ssend comm=0)\n"
+            "rank 2 blocked in waitany\n"
+            "rank 3 blocked in probe(src=4 tag=5 comm=1)\n"
+            "rank 4 blocked in collective barrier comm=1 gen=1\n"
+            "rank 5 blocked in collective barrier comm=1 gen=1\n");
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, DeadlockDetailTest,
+                         ::testing::Values(mpism::SchedulerKind::kThread,
+                                           mpism::SchedulerKind::kCoop),
+                         [](const auto& param_info) {
+                           return std::string(
+                               param_info.param ==
+                                       mpism::SchedulerKind::kThread
+                                   ? "Thread"
+                                   : "Coop");
+                         });
 
 // Scale sweep: deadlock detection stays exact with many ranks blocked in
 // mixed states (collective + receive).

@@ -20,6 +20,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/strutil.hpp"
 #include "core/explorer.hpp"
@@ -575,6 +576,61 @@ TEST(SchedCost, WakeProbesBoundedBySwitchesAt512Ranks) {
   const std::uint64_t run_probes = probes.value() - probes_before;
   EXPECT_GE(run_switches, 512u);
   EXPECT_LE(run_probes, run_switches);
+}
+
+// Fiber stacks outlive the scheduler that used them: a 512-rank run on
+// a fresh thread allocates one stack per rank, and a second run on the
+// same thread takes all of them from that thread's cache.
+TEST(SchedCost, SecondRunOnAThreadAllocatesNoFiberStacks) {
+  SKIP_WITHOUT_COOP();
+  obs::Counter& stacks =
+      obs::Registry::instance().counter("scheduler.stacks_allocated");
+  RunOptions opts;
+  opts.nprocs = 512;
+  opts.sched = coop();
+  const auto program = [](Proc& p) {
+    workloads::wavefront(p, workloads::WavefrontConfig{});
+  };
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  std::thread runner([&] {
+    const std::uint64_t before_first = stacks.value();
+    const RunReport first_report = run_program(opts, program);
+    first = stacks.value() - before_first;
+    const std::uint64_t before_second = stacks.value();
+    const RunReport second_report = run_program(opts, program);
+    second = stacks.value() - before_second;
+    EXPECT_TRUE(first_report.ok()) << first_report.deadlock_detail;
+    EXPECT_TRUE(second_report.ok()) << second_report.deadlock_detail;
+  });
+  runner.join();
+  EXPECT_EQ(first, 512u);
+  EXPECT_EQ(second, 0u);
+}
+
+// The request pool starts small: on a DAMPI-instrumented wavefront-64
+// replay no rank holds more than a couple of requests at once, so each
+// rank's pool stays at one or two small slabs rather than a 64-record
+// slab per rank.
+TEST(PoolCost, RequestSlabsPerRankStaySmallOnWavefront64) {
+  auto& registry = obs::Registry::instance();
+  obs::Counter& slabs = registry.counter("engine.pool.req_slabs");
+  obs::Counter& capacity = registry.counter("engine.pool.req_capacity");
+  const std::uint64_t slabs_before = slabs.value();
+  const std::uint64_t capacity_before = capacity.value();
+
+  core::ExplorerOptions options = explorer_options(64);
+  options.clock_mode = core::ClockMode::kVector;
+  const auto single = run_dampi_once(options, {}, [](Proc& p) {
+    workloads::wavefront(p, workloads::WavefrontConfig{});
+  });
+  ASSERT_TRUE(single.report.ok()) << single.report.deadlock_detail;
+
+  const std::uint64_t run_slabs = slabs.value() - slabs_before;
+  const std::uint64_t run_capacity = capacity.value() - capacity_before;
+  EXPECT_GE(run_slabs, 64u);  // every rank posts requests
+  EXPECT_LE(run_slabs, 2u * 64u) << run_slabs << " slabs";
+  EXPECT_LE(run_capacity, 8u * 64u) << run_capacity << " records";
 }
 
 }  // namespace
