@@ -254,10 +254,10 @@ const Flag kFlags[] = {
      kForwarded,
      [](Cli& c, const char* v) { return integer(v, 1, &c.explorer.jobs); }},
     {"--sched", "KIND",
-     "rank scheduler: thread (OS thread per rank),\n"
-     "coop / coop-rr, coop-random, coop-priority\n"
-     "(deterministic run-to-block fibers; default\n"
-     "thread, or $DAMPI_SCHED when set)",
+     "rank scheduler: coop / coop-rr (default),\n"
+     "coop-random, coop-priority (deterministic\n"
+     "run-to-block fibers), or thread (OS thread per\n"
+     "rank)",
      kForwarded,
      [](Cli& c, const char* v) -> std::string {
        if (mpism::parse_sched_spec(v, &c.explorer.sched)) return {};
@@ -271,8 +271,8 @@ const Flag kFlags[] = {
     {"--por", "MODE",
      "partial-order reduction: sleep (commuting-decision\n"
      "sleep sets, default) or off (full cross-product\n"
-     "baseline; $DAMPI_POR when set); same bugs and\n"
-     "per-epoch outcomes in <= interleavings",
+     "baseline); same bugs and per-epoch outcomes in\n"
+     "<= interleavings",
      kForwarded,
      [](Cli& c, const char* v) -> std::string {
        if (core::parse_por_spec(v, &c.explorer.por)) return {};

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full build + test sweep (once under the default
-# thread-per-rank scheduler, once with DAMPI_SCHED=coop so every test
-# also runs on the cooperative fiber scheduler, the sched-labelled tests
-# once each under DAMPI_SCHED=coop-random and coop-priority, once with
-# DAMPI_POR=off so every test also runs on the unpruned cross-product
-# walk), the resilience stage (resil-labelled tests, the verify_cli
-# exit-code contract, a livelock watchdog sweep across schedulers and
-# jobs widths, and a SIGINT kill + --resume determinism smoke), the
+# Tier-1 gate: the full build + test suite (once, on the default coop
+# scheduler; the `sched` and `por` labelled suites pin the thread
+# scheduler, the seeded coop policies and --por off themselves), the
+# resilience stage (resil-labelled tests, the verify_cli exit-code
+# contract, a livelock watchdog sweep across schedulers and jobs
+# widths, and a SIGINT kill + --resume determinism smoke), the
 # distributed stage, a trace smoke test (a real workload exported with
 # --trace must validate under trace_check), a stack-sampler smoke
 # (scripts/stackprof builds, samples a short run and reports), a DAMPI_TRACE=OFF
@@ -16,14 +14,16 @@
 # size), the distributed and POR bench smokes, a fault-sweep stage
 # (sweep-labelled tests, the --sweep-faults exit-code contract, a
 # SIGINT kill + --resume byte-identity smoke, and the bench_sweep
-# worker-count determinism check), then the concurrent tests again
-# under ThreadSanitizer (-DDAMPI_SANITIZE=thread; only the
-# `concurrency`/`obs`/`match`/`enginelock`/`por`/`sweep` labelled tests
-# rerun there, so the TSan stage stays fast; coop fibers are
-# unsupported under TSan and fall back to the thread scheduler, which
-# is exactly the path TSan can check).
+# worker-count determinism check), then the sanitizer stages: the full
+# suite under AddressSanitizer (-DDAMPI_SANITIZE=address) and the
+# concurrent tests under ThreadSanitizer (-DDAMPI_SANITIZE=thread; only
+# the `concurrency`/`obs`/`match`/`enginelock`/`por`/`sweep` labelled
+# tests rerun there, so the TSan stage stays fast). Coop fibers are
+# unsupported under both sanitizers and fall back to the thread
+# scheduler, so the ASan stage is also the full suite's thread-scheduler
+# run, and the TSan stage checks exactly the path TSan can check.
 #
-# Usage: scripts/tier1.sh [--skip-tsan]
+# Usage: scripts/tier1.sh [--skip-tsan]   (skips both sanitizer stages)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,29 +32,6 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 cmake -B build -S .
 cmake --build build -j "${jobs}"
 (cd build && ctest --output-on-failure -j "${jobs}")
-
-# The whole suite again under the cooperative scheduler: DAMPI_SCHED
-# switches the default SchedOptions every engine picks up, so any test
-# not pinning a scheduler reruns on coop fibers.
-(cd build && DAMPI_SCHED=coop ctest --output-on-failure -j "${jobs}")
-echo "tier1: coop-scheduler sweep OK"
-
-# The sched-labelled suite under the two seeded coop policies: they draw
-# from the whole eligible candidate set, a dispatch path round-robin
-# (which walks cyclically from its cursor) no longer takes.
-for policy in coop-random coop-priority; do
-  (cd build && DAMPI_SCHED="${policy}" ctest --output-on-failure -L sched \
-    -j "${jobs}")
-done
-echo "tier1: seeded coop-policy sched sweep OK"
-
-# And with sleep-set pruning disabled: DAMPI_POR swaps the default
-# partial-order reduction mode, so every test not pinning one reruns on
-# the full cross-product walk. Bug sets and per-epoch outcome sets are
-# identical across modes by contract (the default suite already runs
-# --por sleep, which prunes nothing without vector clocks).
-(cd build && DAMPI_POR=off ctest --output-on-failure -j "${jobs}")
-echo "tier1: por-off sweep OK"
 
 # Resilience tests on their own label, so the stage shows up by name in
 # the log even though the default sweep above already ran them.
@@ -342,9 +319,14 @@ fi
 echo "tier1: sweep throughput smoke OK"
 
 if [[ "${1:-}" == "--skip-tsan" ]]; then
-  echo "tier1: skipping ThreadSanitizer stage"
+  echo "tier1: skipping the AddressSanitizer and ThreadSanitizer stages"
   exit 0
 fi
+
+cmake -B build-asan -S . -DDAMPI_SANITIZE=address
+cmake --build build-asan -j "${jobs}"
+(cd build-asan && ctest --output-on-failure -j "${jobs}")
+echo "tier1: AddressSanitizer full-suite stage OK"
 
 cmake -B build-tsan -S . -DDAMPI_SANITIZE=thread
 cmake --build build-tsan -j "${jobs}" \

@@ -65,18 +65,17 @@ void put_list(std::string& out, const Range& values) {
   constexpr std::size_t kChunk = 2048;
   constexpr std::ptrdiff_t kMaxField = 21;  // ' ' + 20 digits (or sign+10)
   char buf[kChunk];
-  char* p = buf;
   char* const end = buf + kChunk;
-  auto put = [&](auto value) {
+  buf[0] = ' ';
+  char* p = std::to_chars(buf + 1, end, values.size()).ptr;
+  for (const auto v : values) {
     if (end - p < kMaxField) {
       out.append(buf, p);
       p = buf;
     }
     *p++ = ' ';
-    p = std::to_chars(p, end, value).ptr;
-  };
-  put(values.size());
-  for (const auto v : values) put(v);
+    p = std::to_chars(p, end, v).ptr;
+  }
   out.append(buf, p);
 }
 

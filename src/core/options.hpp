@@ -106,8 +106,8 @@ struct ExplorerOptions {
   /// (discovery and replays alike). Thread-per-rank reproduces the
   /// original engine; coop fibers make each run a deterministic function
   /// of (program, schedule, sched policy, sched seed) and scale to
-  /// hundreds of ranks on one core. Defaults honor DAMPI_SCHED.
-  mpism::SchedOptions sched = mpism::default_sched_options();
+  /// hundreds of ranks on one core. Coop round-robin by default.
+  mpism::SchedOptions sched;
 
   /// Partial-order reduction of the DFS walk (core/por.hpp): sleep-set
   /// pruning over provably commuting epoch decisions (default), or the
@@ -115,9 +115,8 @@ struct ExplorerOptions {
   /// needs vector timestamps — under Lamport clocks every decision is
   /// conservatively dependent and the two modes walk identically. The
   /// pruned walk finds the same bug set and the same per-epoch outcome
-  /// sets in ≤ interleavings (tests/test_por.cpp gates this). Honors
-  /// DAMPI_POR.
-  PorMode por = default_por_mode();
+  /// sets in ≤ interleavings (tests/test_por.cpp gates this).
+  PorMode por = PorMode::kSleep;
 
   /// Search budget.
   std::uint64_t max_interleavings = 1u << 20;

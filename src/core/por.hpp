@@ -30,8 +30,6 @@ enum class PorMode { kOff, kSleep };
 
 bool parse_por_spec(const std::string& spec, PorMode* out);
 const char* por_spec(PorMode mode);
-/// Process default: sleep, unless DAMPI_POR says otherwise.
-PorMode default_por_mode();
 
 /// Everything the independence relation may consult about one epoch
 /// decision, extracted from data the run already left behind (the

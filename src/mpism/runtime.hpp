@@ -29,9 +29,9 @@ struct RunOptions {
   /// eligible (SELF_RUN behaviour).
   PolicyKind policy = PolicyKind::kLowestSource;
   std::uint64_t policy_seed = 1;
-  /// How ranks execute and who advances next (thread-per-rank, or
-  /// deterministic run-to-block fibers). Defaults honor DAMPI_SCHED.
-  SchedOptions sched = default_sched_options();
+  /// How ranks execute and who advances next (deterministic
+  /// run-to-block fibers by default, or thread-per-rank).
+  SchedOptions sched;
   /// Interposition stack; empty means a native (uninstrumented) run.
   ToolSetup tools;
   /// Per-run budgets, all 0 = unlimited. A run that exceeds any of them

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -515,9 +514,8 @@ std::unique_ptr<RankScheduler> make_scheduler(const SchedOptions& options,
       coop.stack_bytes = std::max<std::size_t>(coop.stack_bytes, 64 * 1024);
       return std::make_unique<CoopScheduler>(coop, nprocs);
     }
-    static bool warned = false;
-    if (!warned) {
-      warned = true;
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true)) {
       DAMPI_LOG(kWarn) << "coop scheduler unavailable in sanitized builds; "
                           "falling back to thread scheduler";
     }
@@ -553,21 +551,6 @@ std::string sched_spec(const SchedOptions& options) {
     case SchedPolicy::kPriority: return "coop-priority";
   }
   return "coop";
-}
-
-const SchedOptions& default_sched_options() {
-  static const SchedOptions cached = [] {
-    SchedOptions options;
-    const char* env = std::getenv("DAMPI_SCHED");
-    if (env != nullptr && env[0] != '\0' &&
-        !parse_sched_spec(env, &options)) {
-      DAMPI_LOG(kWarn) << "ignoring unrecognized DAMPI_SCHED value '" << env
-                       << "' (want thread|coop|coop-rr|coop-random|"
-                          "coop-priority)";
-    }
-    return options;
-  }();
-  return cached;
 }
 
 }  // namespace dampi::mpism

@@ -53,7 +53,7 @@ enum class SchedulerKind { kThread, kCoop };
 enum class SchedPolicy { kRoundRobin, kRandomSeeded, kPriority };
 
 struct SchedOptions {
-  SchedulerKind kind = SchedulerKind::kThread;
+  SchedulerKind kind = SchedulerKind::kCoop;
   SchedPolicy pick = SchedPolicy::kRoundRobin;
   std::uint64_t seed = 1;
   /// Per-fiber stack size (coop only); allocated lazily on first
@@ -141,18 +141,12 @@ bool coop_supported();
 std::unique_ptr<RankScheduler> make_scheduler(const SchedOptions& options,
                                               int nprocs);
 
-/// Parse a CLI/env scheduler spec: "thread", "coop" (round-robin),
+/// Parse a CLI scheduler spec: "thread", "coop" (round-robin),
 /// "coop-rr", "coop-random", "coop-priority". Returns false (leaving
 /// `out` untouched) on anything else.
 bool parse_sched_spec(const std::string& spec, SchedOptions* out);
 
 /// Canonical spec string for the given options (inverse of parse).
 std::string sched_spec(const SchedOptions& options);
-
-/// Process-wide default: SchedOptions{} unless the DAMPI_SCHED
-/// environment variable holds a valid spec (read once, cached). Lets
-/// tier-1 re-run the full test suite under the coop scheduler without
-/// touching every call site.
-const SchedOptions& default_sched_options();
 
 }  // namespace dampi::mpism

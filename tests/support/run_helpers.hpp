@@ -13,6 +13,14 @@ using mpism::RunOptions;
 using mpism::RunReport;
 using mpism::Runtime;
 
+/// Skips a test whose premise is the coop scheduler's deterministic
+/// dispatch: sanitizer builds cannot run fibers, so make_scheduler falls
+/// back to the thread scheduler there.
+#define SKIP_WITHOUT_COOP()                                              \
+  if (!mpism::coop_supported()) {                                        \
+    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
+  }
+
 /// Run `program` on `nprocs` ranks with default options.
 inline RunReport run_program(int nprocs, const mpism::ProgramFn& program) {
   RunOptions opts;

@@ -33,11 +33,6 @@ using mpism::kAnyTag;
 using mpism::pack;
 using mpism::RequestId;
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 /// Every deterministic field of a RunReport, doubles in %a hex form
 /// (wall_seconds is excluded by design — it is the one
 /// non-deterministic field).

@@ -145,14 +145,16 @@ TEST(ExplorerParallel, Fig3BuggyIsJobsInvariant) {
                         "fig3-bug");
 }
 
-// The raw (natively racy) fig3 bug: whatever the self-run happened to
-// match, every jobs value must find the bug, the reproducer must replay
-// it, and the set of visited outcomes must match the sequential walk's
-// guarantee. (Exact fingerprints are compared on the determinized
-// variant above — two sequential explorations of raw fig3 already
-// disagree on interleaving indices.)
+// The raw (natively racy) fig3 bug, on the thread scheduler where the
+// race lives: whatever the self-run happened to match, every jobs value
+// must find the bug, the reproducer must replay it, and the set of
+// visited outcomes must match the sequential walk's guarantee. (Exact
+// fingerprints are compared on the determinized variant above — two
+// sequential explorations of raw fig3 already disagree on interleaving
+// indices.)
 TEST(ExplorerParallel, Fig3RawBugFoundAtEveryJobsValue) {
-  const ExplorerOptions options = explorer_options(3);
+  ExplorerOptions options = explorer_options(3);
+  options.sched.kind = mpism::SchedulerKind::kThread;
   for (const int jobs : {1, 2, 4}) {
     ExplorerOptions opt = options;
     opt.jobs = jobs;
@@ -233,12 +235,14 @@ TEST(ExplorerParallel, StopOnFirstErrorIsJobsInvariant) {
   expect_jobs_invariant(fan, ordered_fan_in_bug(), "fan-in-stop-first");
 }
 
-// The raw buggy matmult under stop_on_first_error: the master's wildcard
-// matches race in the self-run, so interleaving indices are not
-// reproducible even sequentially — but every jobs value must still find
-// the order bug and hand back a replaying reproducer.
+// The raw buggy matmult under stop_on_first_error, on the thread
+// scheduler: the master's wildcard matches race in the self-run, so
+// interleaving indices are not reproducible even sequentially — but
+// every jobs value must still find the order bug and hand back a
+// replaying reproducer.
 TEST(ExplorerParallel, StopOnFirstErrorFindsRacyMatmultBug) {
   ExplorerOptions options = explorer_options(3);
+  options.sched.kind = mpism::SchedulerKind::kThread;
   options.stop_on_first_error = true;
   options.max_interleavings = 64;
   workloads::MatmultConfig config;

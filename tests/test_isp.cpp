@@ -4,6 +4,7 @@
 #include "isp/isp_verifier.hpp"
 #include "support/program_gen.hpp"
 #include "support/reference_enumerator.hpp"
+#include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
 #include "workloads/matmult.hpp"
 #include "workloads/patterns.hpp"
@@ -93,6 +94,7 @@ TEST(Isp, SlowdownExceedsDampi) {
 // thread-per-rank scheduling depends on OS timing (and on host load), so
 // the measured virtual times must come from a deterministic dispatch.
 TEST(Isp, CentralizedCostScalesWorseThanDampi) {
+  SKIP_WITHOUT_COOP();
   mpism::SchedOptions coop;
   coop.kind = mpism::SchedulerKind::kCoop;
   auto comm_heavy = [](Proc& p) {

@@ -47,11 +47,6 @@ using mpism::RequestId;
 using mpism::RequestRecord;
 using mpism::Tag;
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 // ---------------------------------------------------------------------
 // Structure-level differential harness: every operation is applied to
 // the oracle and the engine's matcher; every query must answer

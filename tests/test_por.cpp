@@ -1,6 +1,6 @@
 // Partial-order reduction suite (ctest label `por`):
 //
-//  - spec round-trip for --por / DAMPI_POR parsing;
+//  - spec round-trip for --por parsing;
 //  - unit coverage of the independence relation's dependent cases
 //    (Lamport fallback, same rank, contested sender, receiver
 //    involvement, causal order) and its one independent case;
@@ -12,9 +12,10 @@
 //  - commutation property: for randomized programs, every pair the
 //    relation calls independent really commutes — forcing both flips in
 //    either schedule-construction order yields bit-identical reports;
-//  - a 64-seed differential (thread|coop x linear|indexed, vector
-//    clocks): same bug set, same per-epoch outcome sets, never more
-//    interleavings than --por off;
+//  - a 64-seed differential (thread|coop, vector clocks) and one over
+//    the named fixtures (fig3, fig3-benign, fig4, the wildcard-dependent
+//    deadlock, fan-in-groups, a budgeted matmult): same bug set, same
+//    per-epoch outcome sets, never more interleavings than --por off;
 //  - checkpoint round-trip of sleep sets, footprints, and pending-sleep
 //    frames (the kill/resume exactness surface).
 #include <gtest/gtest.h>
@@ -32,7 +33,9 @@
 #include "core/por.hpp"
 #include "core/shard.hpp"
 #include "support/program_gen.hpp"
+#include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
+#include "workloads/matmult.hpp"
 #include "workloads/patterns.hpp"
 
 namespace dampi::test {
@@ -47,11 +50,6 @@ using core::PorMode;
 using core::Schedule;
 using dampi::strfmt;
 using mpism::SchedulerKind;
-
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
 
 /// Every deterministic field of a RunReport, doubles in %a hex form
 /// (wall_seconds is excluded by design — it is the one
@@ -185,6 +183,20 @@ ExplorerOptions vector_options(int nprocs, PorMode por) {
   options.clock_mode = ClockMode::kVector;
   options.por = por;
   return options;
+}
+
+/// Walks `program` under `off_options` and again with --por sleep: same
+/// bug set, same per-epoch outcome sets, never more interleavings.
+void expect_sleep_equals_off(const ExplorerOptions& off_options,
+                             const mpism::ProgramFn& program,
+                             const std::string& label) {
+  ExplorerOptions sleep_options = off_options;
+  sleep_options.por = PorMode::kSleep;
+  const auto off = sweep(off_options, program);
+  const auto sleep = sweep(sleep_options, program);
+  EXPECT_EQ(off.bug_keys, sleep.bug_keys) << label;
+  EXPECT_EQ(off.outcomes, sleep.outcomes) << label;
+  EXPECT_LE(sleep.result.interleavings, off.result.interleavings) << label;
 }
 
 TEST(Por, FanInGroupsPrunesTheCrossProduct) {
@@ -335,16 +347,50 @@ TEST(Por, DifferentialSleepEqualsOffAcrossSchedAndMatch) {
     ExplorerOptions off_options = vector_options(nprocs, PorMode::kOff);
     off_options.sched.kind =
         coop ? SchedulerKind::kCoop : SchedulerKind::kThread;
-    ExplorerOptions sleep_options = off_options;
-    sleep_options.por = PorMode::kSleep;
+    expect_sleep_equals_off(
+        off_options, program,
+        strfmt("seed %llu", static_cast<unsigned long long>(seed)));
+  }
+}
 
-    const auto off = sweep(off_options, program);
-    const auto sleep = sweep(sleep_options, program);
-
-    EXPECT_EQ(off.bug_keys, sleep.bug_keys) << "seed " << seed;
-    EXPECT_EQ(off.outcomes, sleep.outcomes) << "seed " << seed;
-    EXPECT_LE(sleep.result.interleavings, off.result.interleavings)
-        << "seed " << seed;
+// The named fixtures the verification suites explore, under vector
+// clocks: sleep ≡ off on each. Both walks start from one pinned
+// discovery root, so they compare like for like where coop falls back to
+// racing OS threads (sanitizer builds). matmult's walk is cut by an
+// interleaving budget; a budgeted walk's outcome sets depend on which
+// runs fit, so that entry needs coop's deterministic replays.
+TEST(Por, DifferentialSleepEqualsOffOnNamedFixtures) {
+  workloads::MatmultConfig matmult;
+  matmult.chunk_rows = 1;  // 8 chunks over 2 workers: a 128-run walk
+  const struct {
+    const char* name;
+    int nprocs;
+    std::uint64_t budget;  // 0 = walk to completion
+    mpism::ProgramFn program;
+  } fixtures[] = {
+      {"fig3", 3, 0, workloads::fig3_wildcard_bug},
+      {"fig3_benign", 3, 0, workloads::fig3_benign},
+      {"fig4_cross_coupled", 4, 0, workloads::fig4_cross_coupled},
+      {"wildcard_dependent_deadlock", 3, 0,
+       workloads::wildcard_dependent_deadlock},
+      {"fan_in_groups(2)", 6, 0,
+       [](mpism::Proc& p) { workloads::fan_in_groups(p, 2); }},
+      {"fan_in_groups(3)", 9, 0,
+       [](mpism::Proc& p) { workloads::fan_in_groups(p, 3); }},
+      {"matmult", 3, 64,
+       [matmult](mpism::Proc& p) { workloads::matmult(p, matmult); }},
+  };
+  for (const auto& fixture : fixtures) {
+    if (fixture.budget != 0 && !mpism::coop_supported()) continue;
+    ExplorerOptions off_options = vector_options(fixture.nprocs, PorMode::kOff);
+    if (fixture.budget != 0) off_options.max_interleavings = fixture.budget;
+    const auto root = run_dampi_once(off_options, Schedule{}, fixture.program);
+    for (const auto& e : root.trace.epochs) {
+      if (e.matched_src_world >= 0) {
+        off_options.initial_schedule.forced[e.key] = e.matched_src_world;
+      }
+    }
+    expect_sleep_equals_off(off_options, fixture.program, fixture.name);
   }
 }
 

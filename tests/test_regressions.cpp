@@ -1,6 +1,8 @@
 // Regression tests for concurrency bugs found and fixed during
-// development. Each of these was originally a sub-1% flake, so every
-// test hammers its scenario in a loop.
+// development. Each of these was originally a sub-1% flake between
+// racing OS-thread ranks, so every test pins the thread scheduler (the
+// coop default would make each loop one deterministic run repeated) and
+// hammers its scenario in a loop.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -19,14 +21,23 @@ using mpism::Bytes;
 using mpism::pack;
 using mpism::unpack;
 
+core::ExplorerOptions thread_explorer_options(int nprocs) {
+  core::ExplorerOptions options = explorer_options(nprocs);
+  options.sched.kind = mpism::SchedulerKind::kThread;
+  return options;
+}
+
 // Regression: the deadlock detector once declared a deadlock when the
 // last runner finished while another rank was satisfied but not yet
 // woken (its request had completed but the thread had not re-acquired
 // the lock). The fix re-evaluates every blocked rank's wake predicate at
 // declaration time.
 TEST(Regression, NoFalseDeadlockOnSatisfiedButUnwokenRank) {
+  RunOptions options;
+  options.nprocs = 2;
+  options.sched.kind = mpism::SchedulerKind::kThread;
   for (int i = 0; i < 300; ++i) {
-    auto report = run_program(2, [](Proc& p) {
+    auto report = run_program(options, [](Proc& p) {
       const int other = 1 - p.rank();
       p.send(other, 1, pack<int>(p.rank()));
       Bytes data;
@@ -46,7 +57,7 @@ TEST(Regression, NoFalseDeadlockOnSatisfiedButUnwokenRank) {
 TEST(Regression, TelepathicTransportNeverLosesClocks) {
   for (int i = 0; i < 120; ++i) {
     isp::IspOptions options;
-    options.explorer.nprocs = 3;
+    options.explorer = thread_explorer_options(3);
     options.measure_native = false;
     isp::IspVerifier verifier(options);
     const auto result = verifier.verify(workloads::wildcard_dependent_deadlock);
@@ -62,7 +73,7 @@ TEST(Regression, PrefixAlternativesMergedAcrossRuns) {
   // fig4 under vector clocks must reach all three outcomes from *either*
   // initial outcome; repeat to cover both initial timings.
   for (int i = 0; i < 60; ++i) {
-    core::ExplorerOptions options = explorer_options(4);
+    core::ExplorerOptions options = thread_explorer_options(4);
     options.clock_mode = core::ClockMode::kVector;
     std::set<OutcomeSignature> seen;
     core::Explorer explorer(options);
@@ -82,7 +93,7 @@ TEST(Regression, PrefixAlternativesMergedAcrossRuns) {
 // analysis.
 TEST(Regression, UnreceivedCompetitorAlwaysAnalyzed) {
   for (int i = 0; i < 120; ++i) {
-    core::ExplorerOptions options = explorer_options(3);
+    core::ExplorerOptions options = thread_explorer_options(3);
     core::Explorer explorer(options);
     const auto result = explorer.explore(workloads::fig3_wildcard_bug);
     ASSERT_TRUE(result.found_bug()) << "iteration " << i;
@@ -101,7 +112,7 @@ TEST(Regression, UnreceivedCompetitorAlwaysAnalyzed) {
 // is bit-identical on every repetition and strictly incomplete, while
 // vector clocks reach every outcome from the same root.
 TEST(Regression, Fig4ExplorationDeterministicFromPinnedRoot) {
-  core::ExplorerOptions vec_options = explorer_options(4);
+  core::ExplorerOptions vec_options = thread_explorer_options(4);
   vec_options.clock_mode = core::ClockMode::kVector;
   ReferenceEnumerator oracle(vec_options, workloads::fig4_cross_coupled);
   const auto reachable = oracle.enumerate();
@@ -113,7 +124,7 @@ TEST(Regression, Fig4ExplorationDeterministicFromPinnedRoot) {
 
   std::optional<std::set<OutcomeSignature>> lam_first;
   for (int i = 0; i < 60; ++i) {
-    core::ExplorerOptions options = explorer_options(4);
+    core::ExplorerOptions options = thread_explorer_options(4);
     options.clock_mode = core::ClockMode::kLamport;
     options.initial_schedule = canonical_first_run;
     const auto explored =
@@ -138,7 +149,7 @@ TEST(Regression, Fig4ExplorationDeterministicFromPinnedRoot) {
 // and the finalize barrier never masquerade as ND events).
 TEST(Regression, DeterministicProgramsStayDeterministic) {
   for (int i = 0; i < 100; ++i) {
-    core::ExplorerOptions options = explorer_options(4);
+    core::ExplorerOptions options = thread_explorer_options(4);
     core::Explorer explorer(options);
     const auto result = explorer.explore([](Proc& p) {
       const int next = (p.rank() + 1) % p.size();

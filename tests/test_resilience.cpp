@@ -34,11 +34,6 @@ using core::Schedule;
 using mpism::CancelSource;
 using mpism::FaultPlan;
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 mpism::SchedOptions sched_named(const char* spec) {
   mpism::SchedOptions sched;
   EXPECT_TRUE(mpism::parse_sched_spec(spec, &sched)) << spec;

@@ -3,9 +3,10 @@
 //  - determinism: under --sched=coop the RunReport and the full
 //    exploration result are bit-identical across repetitions and across
 //    every replay-pool width, with no initial_schedule pinning;
-//  - differential: the coop and thread schedulers visit the same
-//    *outcome set* on the paper's Fig. 3 / Fig. 4 patterns, both equal
-//    to the brute-force reachability oracle;
+//  - differential: every coop policy (round-robin, seeded-random,
+//    seeded-priority) and the thread scheduler visit the same *outcome
+//    set* on the paper's Fig. 3 / Fig. 4 patterns, all equal to the
+//    brute-force reachability oracle;
 //  - deadlock: the scheduler's stall scan reports genuine deadlocks and
 //    never flags a runnable-but-unscheduled rank at large nprocs;
 //  - scale: a 512-rank wavefront verification completes on one host
@@ -167,11 +168,6 @@ std::string trace_digest(const core::RunTrace& trace) {
   return d.hex();
 }
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 TEST(SchedSpec, ParseAndFormatRoundTrip) {
   for (const char* spec :
        {"thread", "coop", "coop-rr", "coop-random", "coop-priority"}) {
@@ -296,45 +292,38 @@ TEST(SchedDeterminism, ExplorationBitIdenticalAcrossJobs100x) {
   }
 }
 
-// Differential: coop and thread schedulers drive different native match
-// orders but must visit the same outcome *set*, and that set must equal
-// the brute-force reachability oracle (which forces every epoch, so it
-// is scheduler-independent).
+// Differential: the thread scheduler and every coop policy drive
+// different native match orders but must visit the same outcome *set*,
+// and that set must equal the brute-force reachability oracle (which
+// forces every epoch, so it is scheduler-independent). The seeded
+// policies draw from the whole eligible candidate set, a dispatch path
+// round-robin (which walks cyclically from its cursor) never takes.
+void expect_every_scheduler_reaches(const core::ExplorerOptions& options,
+                                    const mpism::ProgramFn& program,
+                                    std::size_t reachable_count) {
+  const auto reachable = ReferenceEnumerator(options, program).enumerate();
+  ASSERT_EQ(reachable.size(), reachable_count);
+  for (const auto& sched :
+       {coop(), coop(mpism::SchedPolicy::kRandomSeeded, 42),
+        coop(mpism::SchedPolicy::kPriority, 7), thread_sched()}) {
+    core::ExplorerOptions sched_options = options;
+    sched_options.sched = sched;
+    EXPECT_EQ(explored_outcomes(sched_options, program), reachable)
+        << mpism::sched_spec(sched);
+  }
+}
+
 TEST(SchedDifferential, CoopThreadOracleAgreeOnFig3) {
   SKIP_WITHOUT_COOP();
-  core::ExplorerOptions options = explorer_options(3);
-  const auto reachable =
-      ReferenceEnumerator(options, workloads::fig3_benign).enumerate();
-  ASSERT_EQ(reachable.size(), 2u);
-
-  core::ExplorerOptions coop_options = options;
-  coop_options.sched = coop();
-  EXPECT_EQ(explored_outcomes(coop_options, workloads::fig3_benign),
-            reachable);
-
-  core::ExplorerOptions thread_options = options;
-  thread_options.sched = thread_sched();
-  EXPECT_EQ(explored_outcomes(thread_options, workloads::fig3_benign),
-            reachable);
+  expect_every_scheduler_reaches(explorer_options(3), workloads::fig3_benign,
+                                 2);
 }
 
 TEST(SchedDifferential, CoopThreadOracleAgreeOnFig4VectorClocks) {
   SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(4);
   options.clock_mode = core::ClockMode::kVector;
-  const auto reachable =
-      ReferenceEnumerator(options, workloads::fig4_cross_coupled).enumerate();
-  ASSERT_EQ(reachable.size(), 3u);
-
-  core::ExplorerOptions coop_options = options;
-  coop_options.sched = coop();
-  EXPECT_EQ(explored_outcomes(coop_options, workloads::fig4_cross_coupled),
-            reachable);
-
-  core::ExplorerOptions thread_options = options;
-  thread_options.sched = thread_sched();
-  EXPECT_EQ(explored_outcomes(thread_options, workloads::fig4_cross_coupled),
-            reachable);
+  expect_every_scheduler_reaches(options, workloads::fig4_cross_coupled, 3);
 }
 
 // The initial_schedule pin exists because *thread*-scheduled discovery
@@ -621,6 +610,7 @@ TEST(PoolCost, RequestSlabsPerRankStaySmallOnWavefront64) {
 
   core::ExplorerOptions options = explorer_options(64);
   options.clock_mode = core::ClockMode::kVector;
+  options.sched = coop();
   const auto single = run_dampi_once(options, {}, [](Proc& p) {
     workloads::wavefront(p, workloads::WavefrontConfig{});
   });

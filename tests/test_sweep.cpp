@@ -14,6 +14,7 @@
 
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
+#include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
 #include "sweep/inventory.hpp"
 #include "sweep/journal.hpp"
@@ -33,11 +34,6 @@ using sweep::SweepKinds;
 using sweep::SweepOptions;
 using sweep::SweepResult;
 using sweep::Verdict;
-
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
 
 mpism::SchedOptions sched_named(const char* spec) {
   mpism::SchedOptions sched;
