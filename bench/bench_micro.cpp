@@ -178,7 +178,7 @@ BENCHMARK(BM_InstrumentationWallOverhead)
 
 /// Arms every per-run watchdog budget far above what the run uses, so
 /// the measured delta is pure bookkeeping: one branch + counter + clock
-/// read per op entry (engine mutex already held).
+/// read per op entry.
 void arm_generous_watchdogs(mpism::RunOptions& options) {
   options.max_run_wall_seconds = 3600.0;
   options.max_run_vtime_us = 1e15;
@@ -213,13 +213,12 @@ void BM_WatchdogOverheadPingPong(benchmark::State& state) {
 BENCHMARK(BM_WatchdogOverheadPingPong)->Arg(0)->Arg(1)->ArgNames({"armed"});
 
 /// Watchdog cost at scale: a 256-rank coop-fiber fan-in, unarmed vs
-/// armed (falls back to the thread scheduler under sanitizers).
+/// armed.
 void BM_WatchdogOverheadRanks256(benchmark::State& state) {
   const bool armed = state.range(0) != 0;
   for (auto _ : state) {
     mpism::RunOptions options;
     options.nprocs = 256;
-    mpism::parse_sched_spec("coop", &options.sched);
     if (armed) arm_generous_watchdogs(options);
     mpism::Runtime runtime(std::move(options));
     const auto report = runtime.run(

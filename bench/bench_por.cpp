@@ -51,11 +51,6 @@ Sweep sweep(int nprocs, PorMode por, const mpism::ProgramFn& program) {
   ExplorerOptions options;
   options.nprocs = nprocs;
   options.clock_mode = ClockMode::kVector;
-  // coop: deterministic counts; fall back to threads where fibers are
-  // unavailable (sanitizer builds) — counts stay exact, sets still match.
-  if (mpism::coop_supported()) {
-    options.sched.kind = mpism::SchedulerKind::kCoop;
-  }
   options.por = por;
   Sweep s;
   dampi::bench::WallTimer timer;

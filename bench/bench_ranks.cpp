@@ -1,16 +1,14 @@
-// Rank-scaling: thread-per-rank vs cooperative fibers, 8..512 ranks.
+// Rank-scaling of the cooperative fibers, 8..512 ranks.
 //
 // The coop scheduler's scaling claim: rank counts in the hundreds cost
 // fiber stacks instead of OS threads, so a 512-rank verification runs on
-// a single core at a usable rate while the thread engine pays OS
-// spawn/context-switch overhead per rank per run. Measured here as
-// native-engine runs/second of the wavefront workload (real wall clock —
-// this bench is about tool cost, not simulated time) plus process peak
-// RSS.
+// a single core at a usable rate. Measured here as native-engine
+// runs/second of the wavefront workload (real wall clock — this bench is
+// about tool cost, not simulated time) plus process peak RSS.
 //
 // ru_maxrss is monotone over the process lifetime, so cells run in
-// ascending footprint order (coop first, then thread) and each cell also
-// reports the *delta* it added to the peak — the honest per-cell number.
+// ascending rank count and each cell also reports the *delta* it added
+// to the peak — the honest per-cell number.
 //
 // Output: the table on stdout and BENCH_ranks.json (machine-readable,
 // referenced by EXPERIMENTS.md).
@@ -23,7 +21,6 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "mpism/runtime.hpp"
-#include "mpism/scheduler.hpp"
 #include "workloads/wavefront.hpp"
 
 using namespace dampi;
@@ -37,7 +34,6 @@ double peak_rss_mb() {
 }
 
 struct Cell {
-  std::string sched;
   int nprocs = 0;
   int runs = 0;
   double wall_seconds = 0.0;
@@ -46,11 +42,10 @@ struct Cell {
   double rss_delta_mb = 0.0;
 };
 
-Cell measure(const mpism::SchedOptions& sched, int nprocs, int runs) {
+Cell measure(int nprocs, int runs) {
   const double rss_before = peak_rss_mb();
   mpism::RunOptions options;
   options.nprocs = nprocs;
-  options.sched = sched;
   const auto program = [](mpism::Proc& p) {
     workloads::WavefrontConfig config;
     config.sweeps = 1;
@@ -61,14 +56,12 @@ Cell measure(const mpism::SchedOptions& sched, int nprocs, int runs) {
     mpism::Runtime runtime(options);
     const auto report = runtime.run(program);
     if (!report.ok()) {
-      std::printf("UNEXPECTED FAILURE (%s, %d ranks): %s\n",
-                  mpism::sched_spec(sched).c_str(), nprocs,
+      std::printf("UNEXPECTED FAILURE (%d ranks): %s\n", nprocs,
                   report.deadlock_detail.c_str());
       std::exit(1);
     }
   }
   Cell cell;
-  cell.sched = mpism::sched_spec(sched);
   cell.nprocs = nprocs;
   cell.runs = runs;
   cell.wall_seconds = timer.seconds();
@@ -86,10 +79,10 @@ bool write_json(const char* path, const std::vector<Cell>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     std::fprintf(f,
-                 "    {\"sched\": \"%s\", \"nprocs\": %d, \"runs\": %d, "
+                 "    {\"nprocs\": %d, \"runs\": %d, "
                  "\"wall_seconds\": %.6f, \"runs_per_sec\": %.3f, "
                  "\"peak_rss_mb\": %.1f, \"rss_delta_mb\": %.1f}%s\n",
-                 c.sched.c_str(), c.nprocs, c.runs, c.wall_seconds,
+                 c.nprocs, c.runs, c.wall_seconds,
                  c.runs_per_sec, c.peak_rss_mb, c.rss_delta_mb,
                  i + 1 < cells.size() ? "," : "");
   }
@@ -101,16 +94,9 @@ bool write_json(const char* path, const std::vector<Cell>& cells) {
 }  // namespace
 
 int main() {
-  bench::banner(
-      "Rank scaling — thread-per-rank vs cooperative fibers (8..512 ranks)",
-      "run-to-block fibers keep a 512-rank verification usable on one "
-      "core; OS threads pay per-rank spawn and context-switch cost");
-
-  if (!mpism::coop_supported()) {
-    std::printf("coop fibers unsupported in this build (sanitizer); "
-                "nothing to compare\n");
-    return 0;
-  }
+  bench::banner("Rank scaling — cooperative fibers (8..512 ranks)",
+                "run-to-block fibers keep a 512-rank verification usable "
+                "on one core");
 
   const std::vector<int> scales{8, 32, 128, 512};
   // Repetitions shrink with rank count so every cell takes comparable
@@ -120,23 +106,16 @@ int main() {
     return bench::quick_mode() ? std::max(2, reps / 4) : reps;
   };
 
-  mpism::SchedOptions coop;
-  coop.kind = mpism::SchedulerKind::kCoop;
-  mpism::SchedOptions thread;
-  thread.kind = mpism::SchedulerKind::kThread;
-
   std::vector<Cell> cells;
-  for (const auto* sched : {&coop, &thread}) {  // coop first: see header
-    for (const int nprocs : scales) {
-      cells.push_back(measure(*sched, nprocs, reps_for(nprocs)));
-    }
+  for (const int nprocs : scales) {
+    cells.push_back(measure(nprocs, reps_for(nprocs)));
   }
 
   TextTable table;
-  table.header({"sched", "ranks", "runs", "runs/sec", "peak RSS (MB)",
+  table.header({"ranks", "runs", "runs/sec", "peak RSS (MB)",
                 "RSS delta (MB)"});
   for (const Cell& c : cells) {
-    table.row({c.sched, std::to_string(c.nprocs), std::to_string(c.runs),
+    table.row({std::to_string(c.nprocs), std::to_string(c.runs),
                fmt_fixed(c.runs_per_sec, 1), fmt_fixed(c.peak_rss_mb, 1),
                fmt_fixed(c.rss_delta_mb, 1)});
   }
@@ -148,8 +127,7 @@ int main() {
     std::printf("could not write BENCH_ranks.json\n");
     return 1;
   }
-  std::printf("Shape check: coop runs/sec should degrade gently with rank "
-              "count while thread runs/sec falls off sharply past ~128 "
-              "ranks; coop RSS delta stays fiber-stack sized.\n");
+  std::printf("Shape check: runs/sec should degrade gently with rank "
+              "count; the RSS delta stays fiber-stack sized.\n");
   return 0;
 }

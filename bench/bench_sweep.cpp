@@ -35,13 +35,6 @@ int main() {
       "the crash-tolerance report is byte-identical at any worker count; "
       "throughput scales with workers when cores are available");
 
-  if (!dampi::mpism::coop_supported()) {
-    // The sweep contract is determinism, which needs the coop scheduler;
-    // sanitizer builds without fibers have nothing meaningful to time.
-    std::printf("coop fibers unsupported in this build; skipping\n");
-    return 0;
-  }
-
   const unsigned nproc = std::thread::hardware_concurrency();
   const std::uint64_t budget =
       static_cast<std::uint64_t>(dampi::bench::quick_mode() ? 16 : 48);
@@ -50,10 +43,6 @@ int main() {
 
   dampi::sweep::SweepOptions base;
   base.explorer.nprocs = 3;
-  if (!dampi::mpism::parse_sched_spec("coop", &base.explorer.sched)) {
-    std::fprintf(stderr, "bench_sweep: cannot parse coop sched spec\n");
-    return 2;
-  }
   base.program_name = "fig3-benign";
   base.budget = budget;
   base.seed = 5;

@@ -254,14 +254,13 @@ const Flag kFlags[] = {
      kForwarded,
      [](Cli& c, const char* v) { return integer(v, 1, &c.explorer.jobs); }},
     {"--sched", "KIND",
-     "rank scheduler: coop / coop-rr (default),\n"
-     "coop-random, coop-priority (deterministic\n"
-     "run-to-block fibers), or thread (OS thread per\n"
-     "rank)",
+     "rank scheduler (deterministic run-to-block\n"
+     "fibers): coop / coop-rr (default), coop-random,\n"
+     "coop-priority",
      kForwarded,
      [](Cli& c, const char* v) -> std::string {
        if (mpism::parse_sched_spec(v, &c.explorer.sched)) return {};
-       return "expected thread, coop, coop-rr, coop-random or coop-priority";
+       return "expected coop, coop-rr, coop-random or coop-priority";
      }},
     {"--sched-seed", "N", "seed for coop-random / coop-priority picks",
      kForwarded,

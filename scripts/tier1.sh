@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full build + test suite (once, on the default coop
-# scheduler; the `sched` and `por` labelled suites pin the thread
-# scheduler, the seeded coop policies and --por off themselves), the
-# resilience stage (resil-labelled tests, the verify_cli exit-code
-# contract, a livelock watchdog sweep across schedulers and jobs
+# Tier-1 gate: the full build + test suite (once; the `sched` and `por`
+# labelled suites pin the seeded coop policies and --por off
+# themselves), the resilience stage (resil-labelled tests, the
+# verify_cli exit-code contract, a livelock watchdog sweep across jobs
 # widths, and a SIGINT kill + --resume determinism smoke), the
 # distributed stage, a trace smoke test (a real workload exported with
 # --trace must validate under trace_check), a stack-sampler smoke
@@ -17,11 +16,10 @@
 # worker-count determinism check), then the sanitizer stages: the full
 # suite under AddressSanitizer (-DDAMPI_SANITIZE=address) and the
 # concurrent tests under ThreadSanitizer (-DDAMPI_SANITIZE=thread; only
-# the `concurrency`/`obs`/`match`/`enginelock`/`por`/`sweep` labelled
-# tests rerun there, so the TSan stage stays fast). Coop fibers are
-# unsupported under both sanitizers and fall back to the thread
-# scheduler, so the ASan stage is also the full suite's thread-scheduler
-# run, and the TSan stage checks exactly the path TSan can check.
+# the `concurrency`/`obs`/`match`/`por`/`sweep` labelled tests rerun
+# there, so the TSan stage stays fast). Both sanitizers run the same
+# coop fibers as every other build: the scheduler annotates each fiber
+# switch for them.
 #
 # Usage: scripts/tier1.sh [--skip-tsan]   (skips both sanitizer stages)
 set -euo pipefail
@@ -58,18 +56,16 @@ expect_exit 3 build/examples/verify_cli --program no-such-program
 echo "tier1: exit-code contract OK"
 
 # Watchdog end-to-end: the livelocked example must become a HANG verdict
-# (exit 1) under both schedulers at every jobs width, well inside the
-# deadline instead of wedging the campaign.
-for sched in thread coop; do
-  for w in 1 4; do
-    out="$(timeout 60 build/examples/verify_cli --program livelock \
-      --procs 2 --sched "${sched}" --jobs "${w}" --run-deadline 2 \
-      --max-interleavings 4)" && rc=0 || rc=$?
-    if [[ "${rc}" != 1 ]] || ! grep -q "HANG (watchdog)" <<< "${out}"; then
-      echo "tier1: FAIL: livelock sched=${sched} jobs=${w} rc=${rc}" >&2
-      exit 1
-    fi
-  done
+# (exit 1) at every jobs width, well inside the deadline instead of
+# wedging the campaign.
+for w in 1 4; do
+  out="$(timeout 60 build/examples/verify_cli --program livelock \
+    --procs 2 --sched coop --jobs "${w}" --run-deadline 2 \
+    --max-interleavings 4)" && rc=0 || rc=$?
+  if [[ "${rc}" != 1 ]] || ! grep -q "HANG (watchdog)" <<< "${out}"; then
+    echo "tier1: FAIL: livelock jobs=${w} rc=${rc}" >&2
+    exit 1
+  fi
 done
 echo "tier1: livelock watchdog sweep OK"
 
@@ -333,5 +329,5 @@ cmake --build build-tsan -j "${jobs}" \
   --target test_explorer_parallel test_obs test_match_index \
            test_engine_lock test_por test_sweep
 (cd build-tsan && ctest --output-on-failure \
-  -L 'concurrency|obs|match|enginelock|por|sweep' -j "${jobs}")
-echo "tier1: OK (including TSan concurrency + obs + match + enginelock + por + sweep stage)"
+  -L 'concurrency|obs|match|por|sweep' -j "${jobs}")
+echo "tier1: OK (including TSan concurrency + obs + match + por + sweep stage)"

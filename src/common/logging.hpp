@@ -1,7 +1,7 @@
 // Minimal thread-safe leveled logger.
 //
-// The runtime hosts many rank threads; log lines are serialized under a
-// single mutex and prefixed with level and (when set) the calling rank.
+// Replay workers and campaign threads log concurrently; log lines are
+// serialized under a single mutex and prefixed with level and (when set) the calling rank.
 // Verbosity defaults to Warn so tests and benches stay quiet; the
 // DAMPI_LOG_LEVEL environment variable (trace|debug|info|warn|error|off)
 // overrides it.

@@ -93,20 +93,15 @@ struct ExplorerOptions {
   bool deferred_clock_sync = false;
 
   /// Decisions forced onto the *initial* discovery run (normally empty:
-  /// a pure SELF_RUN). Pinning the first run makes exploration
-  /// reproducible on programs whose initial wildcard matching depends on
-  /// OS scheduling — the DFS then enumerates outcomes from a known root
-  /// instead of whichever matching the first native race produced.
-  /// Under a coop scheduler (`sched.kind == kCoop`) discovery runs are
-  /// deterministic by construction, so this pin is optional; when
-  /// supplied it is still honored exactly.
+  /// a pure SELF_RUN). Discovery runs are deterministic by construction
+  /// (coop fibers), so the pin is optional: it chooses the root the DFS
+  /// enumerates outcomes from, and when supplied it is honored exactly.
   Schedule initial_schedule;
 
-  /// Rank execution model for every run this exploration performs
-  /// (discovery and replays alike). Thread-per-rank reproduces the
-  /// original engine; coop fibers make each run a deterministic function
-  /// of (program, schedule, sched policy, sched seed) and scale to
-  /// hundreds of ranks on one core. Coop round-robin by default.
+  /// Dispatch policy of the coop fibers for every run this exploration
+  /// performs (discovery and replays alike): each run is a deterministic
+  /// function of (program, schedule, sched policy, sched seed), and
+  /// hundreds of ranks fit on one core. Round-robin by default.
   mpism::SchedOptions sched;
 
   /// Partial-order reduction of the DFS walk (core/por.hpp): sleep-set

@@ -29,8 +29,8 @@ struct CommRecord {
   }
 };
 
-/// Owns all communicators of one run. Not thread-safe by itself; the
-/// engine serializes access under its engine mutex. Records never move:
+/// Owns all communicators of one run. Not thread-safe: every rank of a
+/// run executes on the same host thread. Records never move:
 /// a reference from get() stays valid across create(), so a rank parked
 /// in a collective can keep one while the table grows.
 class CommTable {

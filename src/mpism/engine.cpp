@@ -120,9 +120,7 @@ class ToolCtxImpl final : public ToolCtx {
 
 Engine::Engine(RunOptions options)
     : opts_(std::move(options)),
-      sched_(make_scheduler(opts_.sched, opts_.nprocs)),
-      lock_(sched_->runs_on_one_thread()) {
-  DAMPI_CHECK(opts_.nprocs > 0);
+      sched_(opts_.sched, opts_.nprocs) {
   ranks_.reserve(static_cast<std::size_t>(opts_.nprocs));
   for (int i = 0; i < opts_.nprocs; ++i) {
     ranks_.push_back(std::make_unique<PerRank>());
@@ -151,20 +149,14 @@ RunReport Engine::run(const ProgramFn& program) {
     cancel_sub = opts_.cancel->subscribe(
         [this](const std::string& reason) { cancel(reason); });
   }
-  RankScheduler::Callbacks cb;
+  CoopScheduler::Callbacks cb;
   cb.body = [this, &program](Rank r) { rank_body(r, program); };
   cb.wake_ready = [this](Rank r) {
     const PerRank& p = pr(r);
     return p.block_pred && p.block_pred();
   };
   cb.stop = [this] { return stopped(); };
-  cb.on_stall = [this] {
-    // Coop stall: every fiber is parked, so the engine section is
-    // uncontended; the verdict mutex arbitrates against a concurrent
-    // external cancel.
-    EngineGuard g(lock_);
-    declare_deadlock();
-  };
+  cb.on_stall = [this] { declare_deadlock(); };
   if (has_wall_deadline_) {
     cb.deadline = run_deadline_;
     cb.on_deadline = [this] {
@@ -172,7 +164,7 @@ RunReport Engine::run(const ProgramFn& program) {
                              opts_.max_run_wall_seconds));
     };
   }
-  sched_->run(cb);
+  sched_.run(cb);
   if (opts_.cancel) opts_.cancel->unsubscribe(cancel_sub);
 
   RunReport report;
@@ -190,11 +182,11 @@ RunReport Engine::run(const ProgramFn& program) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   report.stats = stats_;
-  report.stats.tool_messages = tool_messages_.load(std::memory_order_relaxed);
-  report.messages_sent = messages_sent_.load(std::memory_order_relaxed);
+  report.stats.tool_messages = tool_messages_;
+  report.messages_sent = messages_sent_;
   if (report.completed) {
     report.comm_leaks = comms_.leaked_user_comms();
-    report.request_leaks = request_leaks_.load(std::memory_order_relaxed);
+    report.request_leaks = request_leaks_;
   }
 
   // Once-per-run registry updates (off every per-op hot path).
@@ -255,20 +247,13 @@ RunReport Engine::run(const ProgramFn& program) {
   buf_acquired_metric.add(buf_total.acquired);
   buf_reused_metric.add(buf_total.reused);
 
-  // Engine-mutex contention and envelope small-buffer effectiveness.
-  static obs::Counter& lock_acquired_metric =
-      obs::Registry::instance().counter("engine.lock.acquired");
-  static obs::Counter& lock_contended_metric =
-      obs::Registry::instance().counter("engine.lock.contended");
+  // Envelope small-buffer effectiveness.
   static obs::Counter& env_inline_metric =
       obs::Registry::instance().counter("engine.envelope.inline_hits");
   static obs::Counter& env_spill_metric =
       obs::Registry::instance().counter("engine.envelope.heap_spills");
-  const EngineLock::Stats ls = lock_.stats();
-  lock_acquired_metric.add(ls.acquires);
-  lock_contended_metric.add(ls.contended);
-  env_inline_metric.add(payload_inline_hits_.load(std::memory_order_relaxed));
-  env_spill_metric.add(payload_heap_spills_.load(std::memory_order_relaxed));
+  env_inline_metric.add(payload_inline_hits_);
+  env_spill_metric.add(payload_heap_spills_);
   return report;
 }
 
@@ -310,18 +295,12 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
     abort_all();
   }
 
-  EngineGuard g(lock_);
-  me.finished = true;
-  finished_count_.fetch_add(1, std::memory_order_acq_rel);
   if (finished_normally && !stopped()) {
     for (const auto& [id, rec] : me.reqs) {
       if (!rec->tool_internal) {
-        request_leaks_.fetch_add(1, std::memory_order_relaxed);
+        ++request_leaks_;
       }
     }
-  }
-  if (blocked_count_.load(std::memory_order_acquire) > 0) {
-    maybe_declare_deadlock();
   }
 }
 
@@ -330,54 +309,21 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
 // ---------------------------------------------------------------------------
 
 template <typename Pred>
-void Engine::blocking_wait(EngineGuard& g, Rank r, const BlockSite& site,
-                           Pred pred) {
+void Engine::blocking_wait(Rank r, const BlockSite& site, Pred pred) {
   if (pred()) return;
-  check_abort(g);
+  check_abort();
   PerRank& me = pr(r);
   me.blocked = true;
   me.block_site = site;
   me.block_pred = pred;
-  blocked_count_.fetch_add(1, std::memory_order_acq_rel);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kBegin, r,
                static_cast<std::int32_t>(site.op));
-  maybe_declare_deadlock();
-  sched_->block(g, r);
+  sched_.block(r);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kEnd, r,
                static_cast<std::int32_t>(site.op));
-  blocked_count_.fetch_sub(1, std::memory_order_acq_rel);
   me.blocked = false;
   me.block_pred = nullptr;
-  if (stopped()) {
-    g.unlock();
-    throw AbortRun{};
-  }
-}
-
-void Engine::maybe_declare_deadlock() {
-  // Schedulers that run ranks to their blocking point detect stalls
-  // exactly (no runnable candidate anywhere); the count below would
-  // misfire there, because a runnable-but-unscheduled rank is neither
-  // blocked nor finished — at large nprocs the last scheduled rank
-  // blocking must not read "everyone is stuck".
-  if (sched_->detects_stall()) return;
-  // A deadlock needs at least one blocked rank: without the > 0 guard,
-  // "everyone finished" also sums to nprocs.
-  if (blocked_count_.load(std::memory_order_acquire) == 0 ||
-      blocked_count_.load(std::memory_order_acquire) +
-              finished_count_.load(std::memory_order_acquire) !=
-          opts_.nprocs ||
-      stopped()) {
-    return;
-  }
-  // A rank whose wake condition already holds is merely late to wake, not
-  // stuck; with eager matching no spontaneous events exist, so "all
-  // blocked with no satisfied predicate" is an exact deadlock. The caller
-  // holds the engine mutex, so every rank's block state is stable here.
-  for (const auto& p : ranks_) {
-    if (p->blocked && p->block_pred && p->block_pred()) return;
-  }
-  declare_deadlock();
+  check_abort();
 }
 
 void Engine::declare_deadlock() {
@@ -398,12 +344,12 @@ void Engine::declare_deadlock() {
     deadlock_detail_ = detail;
     deadlocked_.store(true, std::memory_order_release);
   }
-  sched_->wake_all();
+  sched_.wake_all();
 }
 
 void Engine::abort_all() {
   aborted_.store(true, std::memory_order_release);
-  sched_->wake_all();
+  sched_.wake_all();
 }
 
 void Engine::declare_timeout(std::string reason) {
@@ -415,7 +361,7 @@ void Engine::declare_timeout(std::string reason) {
     DAMPI_TEVENT(obs::EventKind::kRunTimeout, obs::Phase::kInstant);
     aborted_.store(true, std::memory_order_release);
   }
-  sched_->wake_all();
+  sched_.wake_all();
 }
 
 void Engine::cancel(const std::string& reason) {
@@ -427,13 +373,12 @@ void Engine::cancel(const std::string& reason) {
     DAMPI_TEVENT(obs::EventKind::kRunCancel, obs::Phase::kInstant);
     aborted_.store(true, std::memory_order_release);
   }
-  sched_->wake_all();
+  sched_.wake_all();
 }
 
-void Engine::charge_op(EngineGuard& g, Rank r) {
+void Engine::charge_op(Rank r) {
   if (!budgets_armed_) return;
-  const std::uint64_t ops =
-      ops_executed_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t ops = ++ops_executed_;
   if (opts_.max_ops > 0 && ops > opts_.max_ops) {
     declare_timeout(strfmt("op budget exhausted (%llu ops)",
                            static_cast<unsigned long long>(opts_.max_ops)));
@@ -445,34 +390,29 @@ void Engine::charge_op(EngineGuard& g, Rank r) {
              std::chrono::steady_clock::now() >= run_deadline_) {
     // The clock read is amortized over 32 ops: a busy rank issues ops
     // microseconds apart, so the detection slack is negligible, while a
-    // blocked rank is woken exactly at the deadline by the scheduler's
-    // timed wait regardless of this stride.
+    // rank that only blocks or yields is caught by the scheduler's own
+    // deadline check in its dispatch loop.
     declare_timeout(strfmt("run wall deadline exceeded (%.3f s)",
                            opts_.max_run_wall_seconds));
   }
-  check_abort(g);
+  check_abort();
 }
 
-void Engine::throw_program_error(EngineGuard& g, Rank r,
-                                 const std::string& message) {
+void Engine::throw_program_error(Rank r, const std::string& message) {
   {
     std::lock_guard<std::mutex> vl(verdict_mu_);
     errors_.push_back({r, message});
   }
   abort_all();
-  g.unlock();
   throw ProgramFailure{message};
 }
 
-void Engine::check_abort(EngineGuard& g) {
-  if (stopped()) {
-    g.unlock();
-    throw AbortRun{};
-  }
+void Engine::check_abort() {
+  if (stopped()) throw AbortRun{};
 }
 
 // ---------------------------------------------------------------------------
-// Matching engine primitives (engine mutex held)
+// Matching engine primitives
 // ---------------------------------------------------------------------------
 
 std::uint64_t& Engine::seq_counter(PerRank& sender, Rank dst, CommId comm) {
@@ -484,10 +424,9 @@ std::uint64_t& Engine::seq_counter(PerRank& sender, Rank dst, CommId comm) {
   return sender.seq_counters[key];
 }
 
-RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
-                           CommId comm, Bytes payload, bool tool_internal,
-                           bool synchronous, SendInfo* info) {
-  (void)g;  // Holds the engine mutex.
+RequestId Engine::do_isend(Rank r, Rank dst_world, Tag tag, CommId comm,
+                           Bytes payload, bool tool_internal, bool synchronous,
+                           SendInfo* info) {
   PerRank& me = pr(r);
   me.vt_add(opts_.cost.send_overhead_us +
             opts_.cost.send_per_byte_us * static_cast<double>(payload.size()));
@@ -498,21 +437,21 @@ RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
   env.tag = tag;
   env.comm = comm;
   env.seq = seq_counter(me, dst_world, comm)++;
-  env.msg_id = next_msg_id_.fetch_add(1, std::memory_order_relaxed);
+  env.msg_id = next_msg_id_++;
   env.arrival_vtime =
       me.vt() + opts_.cost.message_transit_us(payload.size());
   env.payload = Payload(std::move(payload), &me.buf_pool);
   env.tool_internal = tool_internal;
   if (env.payload.is_inline()) {
-    payload_inline_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++payload_inline_hits_;
   } else {
-    payload_heap_spills_.fetch_add(1, std::memory_order_relaxed);
+    ++payload_heap_spills_;
   }
 
   if (tool_internal) {
-    tool_messages_.fetch_add(1, std::memory_order_relaxed);
+    ++tool_messages_;
   } else {
-    messages_sent_.fetch_add(1, std::memory_order_relaxed);
+    ++messages_sent_;
   }
   if (info != nullptr) {
     info->seq = env.seq;
@@ -526,11 +465,11 @@ RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
     // when matched (rendezvous). Either way the user must still consume
     // the request (wait/test) — unconsumed send requests are leaks.
     PoolPtr<RequestRecord> rec = new_request(me);
-    rec->id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
+    rec->id = next_req_id_++;
     rec->kind = ReqKind::kSend;
     rec->owner_world = r;
     rec->comm = comm;
-    rec->complete.store(!synchronous, std::memory_order_relaxed);
+    rec->complete = !synchronous;
     rec->post_vtime = me.vt();
     id = rec->id;
     RequestRecord* rec_raw = rec.get();
@@ -566,37 +505,31 @@ bool Engine::match_arrival(Rank dst, Envelope&& env) {
                env.src_world, env.dst_world, env.tag);
   receiver.match.push_unexpected(std::move(env));
   // A rank blocked in a probe may now have a matchable message.
-  sched_->wake(dst);
+  sched_.wake(dst);
   return false;
 }
 
 void Engine::complete_recv(Rank r, RequestRecord& rec, Envelope&& env) {
   if (env.sender_rec != nullptr) {
     // Rendezvous: the matching receive releases the synchronous sender;
-    // the release (ack) reaches it one latency after the match. The
-    // sender's record is completed through its atomics (slab addresses
-    // are stable, and an incomplete send cannot be consumed, so the
-    // record outlives this store): vtime first, then the flag with
-    // release ordering — the sender's wake predicate acquire-loads the
-    // flag.
-    const Rank sender_world = env.sender_world;
-    env.sender_rec->complete_vtime.store(
-        std::max(pr(r).vt(), env.arrival_vtime) + opts_.cost.latency_us,
-        std::memory_order_relaxed);
-    env.sender_rec->complete.store(true, std::memory_order_release);
-    sched_->wake(sender_world);
+    // the release (ack) reaches it one latency after the match. Slab
+    // addresses are stable, and an incomplete send cannot be consumed,
+    // so the sender's record outlives this write.
+    env.sender_rec->complete_vtime =
+        std::max(pr(r).vt(), env.arrival_vtime) + opts_.cost.latency_us;
+    env.sender_rec->complete = true;
+    sched_.wake(env.sender_world);
   }
   rec.msg = std::move(env);
-  rec.complete.store(true, std::memory_order_release);
-  sched_->wake(r);
+  rec.complete = true;
+  sched_.wake(r);
 }
 
-RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
-                           CommId comm, bool tool_internal) {
-  (void)g;  // Holds the engine mutex.
+RequestId Engine::do_irecv(Rank r, Rank src_world, Tag tag, CommId comm,
+                           bool tool_internal) {
   PerRank& me = pr(r);
   PoolPtr<RequestRecord> rec = new_request(me);
-  rec->id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
+  rec->id = next_req_id_++;
   rec->kind = ReqKind::kRecv;
   rec->owner_world = r;
   rec->posted_src_world = src_world;
@@ -613,12 +546,7 @@ RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
     me.match.wildcard_candidates(tag, comm, &cands);
     if (!cands.empty()) {
       std::size_t pick = 0;
-      if (cands.size() > 1) {
-        // The policy RNG is engine-global mutable state, serialized by
-        // its own leaf mutex.
-        std::lock_guard<std::mutex> pl(policy_mu_);
-        pick = policy_->choose(cands);
-      }
+      if (cands.size() > 1) pick = policy_->choose(cands);
       DAMPI_CHECK(pick < cands.size());
       DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
                    cands[pick].src_world, r, cands[pick].tag);
@@ -640,35 +568,35 @@ RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
   return id;
 }
 
-void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
+void Engine::block_until_complete(Rank r, RequestId req) {
   PerRank& me = pr(r);
   auto it = me.reqs.find(req);
   DAMPI_CHECK(it != me.reqs.end());
   RequestRecord* rec = it->second.get();
-  if (rec->complete.load(std::memory_order_acquire)) return;
+  if (rec->complete) return;
   BlockSite site;
   site.op = rec->kind == ReqKind::kSend ? BlockSite::Op::kSsendWait
                                         : BlockSite::Op::kRecvWait;
   site.src = rec->posted_src_world;
   site.tag = rec->posted_tag;
   site.comm = rec->comm;
-  blocking_wait(g, r, site, [rec] {
-    return rec->complete.load(std::memory_order_acquire);
+  blocking_wait(r, site, [rec] {
+    return rec->complete;
   });
 }
 
-Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
+Status Engine::finish_request(Rank r, RequestId req, Bytes* out,
                               bool run_hooks) {
   PerRank& me = pr(r);
   // Extract the record so hook-issued raw operations cannot invalidate it.
   auto node = me.reqs.extract(req);
   DAMPI_CHECK_MSG(!node.empty(), "request vanished during completion");
   PoolPtr<RequestRecord> rec = std::move(node.mapped());
-  DAMPI_CHECK(rec->complete.load(std::memory_order_acquire));
+  DAMPI_CHECK(rec->complete);
 
   Status status;
   // A synchronous send's completion waits for the remote match.
-  me.vt_floor(rec->complete_vtime.load(std::memory_order_relaxed));
+  me.vt_floor(rec->complete_vtime);
   if (rec->kind == ReqKind::kRecv) {
     me.vt_store(std::max(me.vt(), rec->msg.arrival_vtime) +
                 opts_.cost.recv_overhead_us);
@@ -696,12 +624,10 @@ Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
     completion.msg_id = rec->msg.msg_id;
     completion.status = status;
     // Materialize the payload (hooks mutate it in place — piggyback
-    // strip); pool access stays inside the critical section.
+    // strip).
     Bytes hook_payload = rec->msg.payload.release(&me.buf_pool);
     completion.payload = &hook_payload;
-    g.unlock();
     hooks_post_wait(r, completion);
-    g.lock();
     status = completion.status;
     if (rec->kind == ReqKind::kRecv && out != nullptr) {
       *out = std::move(hook_payload);
@@ -723,14 +649,13 @@ Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
 // Proc-facing API
 // ---------------------------------------------------------------------------
 
-void Engine::validate_comm_member(EngineGuard& g, Rank r, CommId comm) {
+void Engine::validate_comm_member(Rank r, CommId comm) {
   if (!comms_.valid(comm)) {
-    throw_program_error(g, r,
-                        strfmt("operation on invalid communicator %d", comm));
+    throw_program_error(r, strfmt("operation on invalid communicator %d", comm));
   }
   if (!comms_.get(comm).contains_world(r)) {
     throw_program_error(
-        g, r, strfmt("rank %d is not a member of communicator %d", r, comm));
+        r, strfmt("rank %d is not a member of communicator %d", r, comm));
   }
 }
 
@@ -744,25 +669,23 @@ RequestId Engine::api_isend(Rank r, Rank dst, Tag tag, Bytes payload,
   call.blocking = blocking;
   hooks_pre_isend(r, call);
 
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
-  validate_comm_member(g, r, call.comm);
+  check_abort();
+  charge_op(r);
+  validate_comm_member(r, call.comm);
   if (call.tag < 0 || call.tag > kMaxUserTag) {
-    throw_program_error(g, r, strfmt("invalid send tag %d", call.tag));
+    throw_program_error(r, strfmt("invalid send tag %d", call.tag));
   }
   const int csize = comms_.get(call.comm).size();
   if (call.dst < 0 || call.dst >= csize) {
-    throw_program_error(g, r, strfmt("send to invalid rank %d", call.dst));
+    throw_program_error(r, strfmt("send to invalid rank %d", call.dst));
   }
   stats_.bump(OpCategory::kSendRecv, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   const Rank dst_world = comms_.to_world(call.comm, call.dst);
   SendInfo info;
-  const RequestId id = do_isend(g, r, dst_world, call.tag, call.comm,
-                                std::move(*call.payload), false, synchronous,
-                                &info);
-  g.unlock();
+  const RequestId id =
+      do_isend(r, dst_world, call.tag, call.comm, std::move(*call.payload),
+               false, synchronous, &info);
   hooks_post_isend(r, call, id, info);
   return id;
 }
@@ -776,22 +699,20 @@ RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
   call.blocking = blocking;
   hooks_pre_irecv(r, call);
 
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
-  validate_comm_member(g, r, call.comm);
+  check_abort();
+  charge_op(r);
+  validate_comm_member(r, call.comm);
   if (call.tag < kAnyTag || call.tag > kMaxUserTag) {
-    throw_program_error(g, r, strfmt("invalid recv tag %d", call.tag));
+    throw_program_error(r, strfmt("invalid recv tag %d", call.tag));
   }
   const int csize = comms_.get(call.comm).size();
   if (call.src != kAnySource && (call.src < 0 || call.src >= csize)) {
-    throw_program_error(g, r, strfmt("recv from invalid rank %d", call.src));
+    throw_program_error(r, strfmt("recv from invalid rank %d", call.src));
   }
   stats_.bump(OpCategory::kSendRecv, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   const Rank src_world = comms_.to_world(call.comm, call.src);
-  const RequestId id = do_irecv(g, r, src_world, call.tag, call.comm, false);
-  g.unlock();
+  const RequestId id = do_irecv(r, src_world, call.tag, call.comm, false);
   hooks_post_irecv(r, call, id);
   return id;
 }
@@ -799,38 +720,36 @@ RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
 Status Engine::api_wait(Rank r, RequestId req, Bytes* out, bool count_stat) {
   if (count_stat) hooks_pre_wait(r, req);
 
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
+  check_abort();
+  charge_op(r);
   if (pr(r).reqs.find(req) == pr(r).reqs.end()) {
-    throw_program_error(g, r, "wait on invalid or consumed request");
+    throw_program_error(r, "wait on invalid or consumed request");
   }
   if (count_stat) stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
-  block_until_complete(g, r, req);
-  return finish_request(g, r, req, out, /*run_hooks=*/true);
+  block_until_complete(r, req);
+  return finish_request(r, req, out, /*run_hooks=*/true);
 }
 
 bool Engine::api_test(Rank r, RequestId req, Status* status, Bytes* out) {
   hooks_pre_wait(r, req);
 
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
+  check_abort();
+  charge_op(r);
   auto it = pr(r).reqs.find(req);
   if (it == pr(r).reqs.end()) {
-    throw_program_error(g, r, "test on invalid or consumed request");
+    throw_program_error(r, "test on invalid or consumed request");
   }
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
-  if (!it->second->complete.load(std::memory_order_acquire)) {
+  if (!it->second->complete) {
     // A failed poll is a scheduling point: under run-to-block execution
     // the polling rank must cede the host or a test loop starves the
     // very ranks that would complete the request.
-    sched_->yield(g, r);
+    sched_.yield(r);
     return false;
   }
-  Status st = finish_request(g, r, req, out, /*run_hooks=*/true);
+  Status st = finish_request(r, req, out, /*run_hooks=*/true);
   if (status != nullptr) *status = st;
   return true;
 }
@@ -840,21 +759,19 @@ void Engine::api_waitall(Rank r, std::span<RequestId> reqs) {
   bool first = true;
   for (RequestId& req : reqs) {
     if (req == kNullRequest) continue;
-    EngineGuard g(lock_);
-    check_abort(g);
-    charge_op(g, r);
+    check_abort();
+    charge_op(r);
     if (pr(r).reqs.find(req) == pr(r).reqs.end()) {
-      throw_program_error(g, r, "waitall on invalid or consumed request");
+      throw_program_error(r, "waitall on invalid or consumed request");
     }
     if (first) {
       stats_.bump(OpCategory::kWait, r);
       pr(r).vt_add(opts_.cost.local_op_us);
       first = false;
     }
-    block_until_complete(g, r, req);
-    finish_request(g, r, req, nullptr, /*run_hooks=*/true);
+    block_until_complete(r, req);
+    finish_request(r, req, nullptr, /*run_hooks=*/true);
     req = kNullRequest;
-    g.unlock();
   }
 }
 
@@ -862,9 +779,8 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
                                 Status* status, Bytes* out) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
 
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
+  check_abort();
+  charge_op(r);
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
 
@@ -874,28 +790,28 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
     if (reqs[i] == kNullRequest) continue;
     auto it = pr(r).reqs.find(reqs[i]);
     if (it == pr(r).reqs.end()) {
-      throw_program_error(g, r, "waitany on invalid or consumed request");
+      throw_program_error(r, "waitany on invalid or consumed request");
     }
     recs[i] = it->second.get();
     any_live = true;
   }
   if (!any_live) {
-    throw_program_error(g, r, "waitany with no live requests");
+    throw_program_error(r, "waitany with no live requests");
   }
   auto ready_index = [&recs]() -> std::size_t {
     for (std::size_t i = 0; i < recs.size(); ++i) {
       if (recs[i] != nullptr &&
-          recs[i]->complete.load(std::memory_order_acquire)) {
+          recs[i]->complete) {
         return i;
       }
     }
     return recs.size();
   };
-  blocking_wait(g, r, BlockSite{.op = BlockSite::Op::kWaitany},
+  blocking_wait(r, BlockSite{.op = BlockSite::Op::kWaitany},
                 [&] { return ready_index() < recs.size(); });
   const std::size_t idx = ready_index();
   DAMPI_CHECK(idx < recs.size());
-  Status st = finish_request(g, r, reqs[idx], out, /*run_hooks=*/true);
+  Status st = finish_request(r, reqs[idx], out, /*run_hooks=*/true);
   if (status != nullptr) *status = st;
   reqs[idx] = kNullRequest;
   return idx;
@@ -903,26 +819,25 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
 
 bool Engine::api_testall(Rank r, std::span<RequestId> reqs) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
+  check_abort();
+  charge_op(r);
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   for (const RequestId req : reqs) {
     if (req == kNullRequest) continue;
     auto it = pr(r).reqs.find(req);
     if (it == pr(r).reqs.end()) {
-      throw_program_error(g, r, "testall on invalid or consumed request");
+      throw_program_error(r, "testall on invalid or consumed request");
     }
-    if (!it->second->complete.load(std::memory_order_acquire)) {
+    if (!it->second->complete) {
       // MPI: consume all or none.
-      sched_->yield(g, r);
+      sched_.yield(r);
       return false;
     }
   }
   for (RequestId& req : reqs) {
     if (req == kNullRequest) continue;
-    finish_request(g, r, req, nullptr, /*run_hooks=*/true);
+    finish_request(r, req, nullptr, /*run_hooks=*/true);
     req = kNullRequest;
   }
   return true;
@@ -931,25 +846,24 @@ bool Engine::api_testall(Rank r, std::span<RequestId> reqs) {
 std::size_t Engine::api_testany(Rank r, std::span<RequestId> reqs,
                                 Status* status, Bytes* out) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
+  check_abort();
+  charge_op(r);
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (reqs[i] == kNullRequest) continue;
     auto it = pr(r).reqs.find(reqs[i]);
     if (it == pr(r).reqs.end()) {
-      throw_program_error(g, r, "testany on invalid or consumed request");
+      throw_program_error(r, "testany on invalid or consumed request");
     }
-    if (it->second->complete.load(std::memory_order_acquire)) {
-      Status st = finish_request(g, r, reqs[i], out, /*run_hooks=*/true);
+    if (it->second->complete) {
+      Status st = finish_request(r, reqs[i], out, /*run_hooks=*/true);
       if (status != nullptr) *status = st;
       reqs[i] = kNullRequest;
       return i;
     }
   }
-  sched_->yield(g, r);
+  sched_.yield(r);
   return reqs.size();
 }
 
@@ -961,10 +875,9 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
   call.blocking = (flag == nullptr);
   hooks_pre_probe(r, call);
 
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
-  validate_comm_member(g, r, call.comm);
+  check_abort();
+  charge_op(r);
+  validate_comm_member(r, call.comm);
   stats_.bump(OpCategory::kSendRecv, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   const Rank src_world = comms_.to_world(call.comm, call.src);
@@ -985,10 +898,10 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
     site.tag = call.tag;
     site.comm = call.comm;
     // Captured by reference: fits std::function's inline buffer.
-    blocking_wait(g, r, site, [&exists] { return exists(); });
+    blocking_wait(r, site, [&exists] { return exists(); });
     found = true;
   } else if (!found) {
-    sched_->yield(g, r);  // iprobe miss: see api_test
+    sched_.yield(r);  // iprobe miss: see api_test
   }
 
   Status status;
@@ -999,10 +912,7 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
       pr(r).match.wildcard_candidates(call.tag, call.comm, &cands);
       DAMPI_CHECK(!cands.empty());
       std::size_t pick = 0;
-      if (cands.size() > 1) {
-        std::lock_guard<std::mutex> pl(policy_mu_);
-        pick = policy_->choose(cands);
-      }
+      if (cands.size() > 1) pick = policy_->choose(cands);
       env = pr(r).match.find_by_id(cands[pick].msg_id);
     } else {
       env = pr(r).match.find_specific(src_world, call.tag, call.comm);
@@ -1016,26 +926,25 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
     pr(r).vt_store(std::max(pr(r).vt(), env->arrival_vtime) +
                    opts_.cost.local_op_us);
   }
-  g.unlock();
   hooks_post_probe(r, call, found, status);
   if (flag != nullptr) *flag = found;
   return status;
 }
 
 // ---------------------------------------------------------------------------
-// Collectives (engine mutex held: slot state and the comm table are global)
+// Collectives
 // ---------------------------------------------------------------------------
 
-Bytes Engine::apply_reduce(EngineGuard& g, Rank r, const CollSlot& slot,
+Bytes Engine::apply_reduce(Rank r, const CollSlot& slot,
                            const CommRecord& comm_rec) {
   const std::size_t n = slot.data.empty() ? 0 : slot.data[0].size();
   for (const Bytes& b : slot.data) {
     if (b.size() != n) {
-      throw_program_error(g, r, "reduce contributions differ in length");
+      throw_program_error(r, "reduce contributions differ in length");
     }
   }
   if (n % 8 != 0) {
-    throw_program_error(g, r, "reduce contribution not a multiple of 8");
+    throw_program_error(r, "reduce contribution not a multiple of 8");
   }
   const std::size_t words = n / 8;
   const bool is_f64 = slot.op == ReduceOp::kSumF64 ||
@@ -1110,10 +1019,9 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
                                        Bytes pb_contribution,
                                        bool tool_internal,
                                        CollResult* tool_result) {
-  EngineGuard g(lock_);
-  check_abort(g);
-  if (!tool_internal) charge_op(g, r);
-  validate_comm_member(g, r, comm);
+  check_abort();
+  if (!tool_internal) charge_op(r);
+  validate_comm_member(r, comm);
   DAMPI_TEVENT(obs::EventKind::kCollective, obs::Phase::kBegin,
                static_cast<std::int32_t>(kind), comm);
   // Records are address-stable (CommTable), and a communicator's member
@@ -1123,7 +1031,7 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
   const Rank cr = comm_rec.world_to_comm[static_cast<std::size_t>(r)];
   const bool rooted = root_to_leaves(kind) || leaves_to_root(kind);
   if (rooted && (root_rel < 0 || root_rel >= size)) {
-    throw_program_error(g, r, strfmt("invalid collective root %d", root_rel));
+    throw_program_error(r, strfmt("invalid collective root %d", root_rel));
   }
   const Rank root_world = rooted ? comm_rec.members[static_cast<std::size_t>(
                                        root_rel)]
@@ -1147,26 +1055,25 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
   } else {
     if (slot.kind != kind || slot.root_world != root_world) {
       throw_program_error(
-          g, r,
-          strfmt("collective mismatch on comm %d: rank %d called %s but the "
+          r, strfmt("collective mismatch on comm %d: rank %d called %s but the "
                  "operation in flight is %s",
                  comm, r, coll_kind_name(kind), coll_kind_name(slot.kind)));
     }
   }
   if (kind == CollKind::kReduce || kind == CollKind::kAllreduce) {
     if (slot.op_set && slot.op != data.op) {
-      throw_program_error(g, r, "mismatched reduce operators");
+      throw_program_error(r, "mismatched reduce operators");
     }
     slot.op = data.op;
     slot.op_set = true;
   }
   if (kind == CollKind::kScatter && cr == root_rel &&
       static_cast<int>(data.multi.size()) != size) {
-    throw_program_error(g, r, "scatter requires one slice per member");
+    throw_program_error(r, "scatter requires one slice per member");
   }
   if (kind == CollKind::kAlltoall &&
       static_cast<int>(data.multi.size()) != size) {
-    throw_program_error(g, r, "alltoall requires one slice per member");
+    throw_program_error(r, "alltoall requires one slice per member");
   }
 
   slot.pb[static_cast<std::size_t>(cr)] = std::move(pb_contribution);
@@ -1184,11 +1091,11 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
   // Wake members whose completion predicate may have flipped.
   const bool all_arrived = slot.arrived == size;
   if (is_all_style(kind) && all_arrived) {
-    for (Rank w : comm_rec.members) sched_->wake(w);
+    for (Rank w : comm_rec.members) sched_.wake(w);
   } else if (root_to_leaves(kind) && slot.root_arrived && cr == root_rel) {
-    for (Rank w : comm_rec.members) sched_->wake(w);
+    for (Rank w : comm_rec.members) sched_.wake(w);
   } else if (leaves_to_root(kind) && all_arrived) {
-    sched_->wake(root_world);
+    sched_.wake(root_world);
   }
 
   // Completion predicate for this rank.
@@ -1204,7 +1111,7 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     site.coll = kind;
     site.gen = gen;
     // Captured by reference: fits std::function's inline buffer.
-    blocking_wait(g, r, site, [&my_pred] { return my_pred(); });
+    blocking_wait(r, site, [&my_pred] { return my_pred(); });
   }
 
   // Completion virtual time.
@@ -1236,7 +1143,7 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     case CollKind::kReduce:
       if (cr == root_rel) {
         if (!slot.reduced_done) {
-          slot.reduced = apply_reduce(g, r, slot, comm_rec);
+          slot.reduced = apply_reduce(r, slot, comm_rec);
           slot.reduced_done = true;
         }
         result.single = bufs.copy_of(slot.reduced);
@@ -1244,7 +1151,7 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
       break;
     case CollKind::kAllreduce:
       if (!slot.reduced_done) {
-        slot.reduced = apply_reduce(g, r, slot, comm_rec);
+        slot.reduced = apply_reduce(r, slot, comm_rec);
         slot.reduced_done = true;
       }
       result.single = bufs.copy_of(slot.reduced);
@@ -1366,36 +1273,27 @@ CollUserResult Engine::api_collective(Rank r, CollKind kind, CommId comm,
 void Engine::api_comm_free(Rank r, CommId comm) {
   // MPI_Comm_free is collective over the communicator: synchronize all
   // members (all-style), then release it exactly once.
-  {
-    EngineGuard g(lock_);
-    check_abort(g);
-    if (comm == kCommWorld) {
-      throw_program_error(g, r, "cannot free MPI_COMM_WORLD");
-    }
-    if (!comms_.valid(comm)) {
-      throw_program_error(g, r,
-                          strfmt("freeing invalid communicator %d", comm));
-    }
-    g.unlock();
+  check_abort();
+  if (comm == kCommWorld) {
+    throw_program_error(r, "cannot free MPI_COMM_WORLD");
+  }
+  if (!comms_.valid(comm)) {
+    throw_program_error(r, strfmt("freeing invalid communicator %d", comm));
   }
   api_collective(r, CollKind::kCommFree, comm, 0, {});
 }
 
 void Engine::api_pcontrol(Rank r, int level, const std::string& what) {
-  {
-    EngineGuard g(lock_);
-    check_abort(g);
-    charge_op(g, r);
-    stats_.bump(OpCategory::kOther, r);
-    pr(r).vt_add(opts_.cost.local_op_us);
-  }
+  check_abort();
+  charge_op(r);
+  stats_.bump(OpCategory::kOther, r);
+  pr(r).vt_add(opts_.cost.local_op_us);
   hooks_pcontrol(r, level, what);
 }
 
 void Engine::api_compute(Rank r, double us) {
-  EngineGuard g(lock_);
-  check_abort(g);
-  charge_op(g, r);
+  check_abort();
+  charge_op(r);
   pr(r).vt_add(us);
 }
 
@@ -1411,27 +1309,18 @@ void Engine::api_fail(Rank r, const std::string& message) {
 // ---------------------------------------------------------------------------
 // Translation / introspection
 // ---------------------------------------------------------------------------
-//
-// Called from tool hooks, which run outside the engine's critical section;
-// each takes the engine mutex for a consistent comm-table read.
 
-int Engine::comm_size_of(CommId comm) {
-  EngineGuard g(lock_);
-  return comms_.get(comm).size();
-}
+int Engine::comm_size_of(CommId comm) { return comms_.get(comm).size(); }
 
 Rank Engine::comm_rank_of(CommId comm, Rank world) {
-  EngineGuard g(lock_);
   return comms_.to_rel(comm, world);
 }
 
 Rank Engine::to_world(CommId comm, Rank rel) {
-  EngineGuard g(lock_);
   return comms_.to_world(comm, rel);
 }
 
 Rank Engine::to_rel(CommId comm, Rank world) {
-  EngineGuard g(lock_);
   return comms_.to_rel(comm, world);
 }
 
@@ -1441,30 +1330,27 @@ Rank Engine::to_rel(CommId comm, Rank world) {
 
 RequestId Engine::raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
                             Bytes payload) {
-  EngineGuard g(lock_);
-  check_abort(g);
+  check_abort();
   const Rank dst_world = comms_.to_world(comm, dst);
   // Tool sends are eager and auto-consumed: piggyback senders never wait
   // on them (the paper's pb sends are waited trivially in MPI_Wait).
-  do_isend(g, r, dst_world, tag, comm, std::move(payload), true,
+  do_isend(r, dst_world, tag, comm, std::move(payload), true,
            /*synchronous=*/false, nullptr);
   return kNullRequest;
 }
 
 RequestId Engine::raw_irecv(Rank r, Rank src, Tag tag, CommId comm) {
-  EngineGuard g(lock_);
-  check_abort(g);
+  check_abort();
   const Rank src_world = comms_.to_world(comm, src);
-  return do_irecv(g, r, src_world, tag, comm, true);
+  return do_irecv(r, src_world, tag, comm, true);
 }
 
 Status Engine::raw_wait(Rank r, RequestId req, Bytes* out) {
-  EngineGuard g(lock_);
-  check_abort(g);
+  check_abort();
   DAMPI_CHECK_MSG(pr(r).reqs.find(req) != pr(r).reqs.end(),
                   "raw_wait on invalid request");
-  block_until_complete(g, r, req);
-  return finish_request(g, r, req, out, /*run_hooks=*/false);
+  block_until_complete(r, req);
+  return finish_request(r, req, out, /*run_hooks=*/false);
 }
 
 Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
@@ -1474,8 +1360,7 @@ Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
 
 bool Engine::raw_iprobe(Rank r, Rank src, Tag tag, CommId comm,
                         Status* status) {
-  EngineGuard g(lock_);
-  check_abort(g);
+  check_abort();
   const Rank src_world = comms_.to_world(comm, src);
   const Envelope* env = nullptr;
   if (src_world == kAnySource) {
@@ -1489,7 +1374,7 @@ bool Engine::raw_iprobe(Rank r, Rank src, Tag tag, CommId comm,
     env = pr(r).match.find_specific(src_world, tag, comm);
   }
   if (env == nullptr) {
-    sched_->yield(g, r);
+    sched_.yield(r);
     return false;
   }
   if (status != nullptr) {
@@ -1512,21 +1397,18 @@ CommId Engine::raw_comm_dup(Rank r, CommId comm) {
                                           {}, /*tool_internal=*/true, nullptr);
   // Mark the product tool-internal (exempt from leak accounting). Every
   // participant executes this; the flag write is idempotent.
-  EngineGuard g(lock_);
   comms_.mark_tool_internal(result.new_comm);
   return result.new_comm;
 }
 
 void Engine::add_cost(Rank r, double us) {
-  // Called by tools in rank r's own execution context: the clock is
-  // single-writer, so this needs no lock.
   pr(r).vt_add(us);
 }
 
 double Engine::vtime_of(Rank r) { return pr(r).vt(); }
 
 // ---------------------------------------------------------------------------
-// Tool hook dispatch (engine mutex not held: hooks may re-enter)
+// Tool hook dispatch (hooks may re-enter the engine through raw services)
 // ---------------------------------------------------------------------------
 
 void Engine::hooks_init(Rank r) {

@@ -1,19 +1,17 @@
 // Engine: internal implementation of the mpism runtime.
 //
-// Shared state is guarded by one engine mutex (EngineLock,
-// engine_lock.hpp): every MPI call, collective, communicator operation
-// and the count-based deadlock scan runs under it; verdict flags,
-// counters, and id assignment are atomics so that cancellation and the
-// watchdog never need it. How ranks execute — one OS thread each, or
-// cooperative fibers multiplexed run-to-block onto the calling thread,
-// in which case the engine takes no lock at all — is delegated to a
-// pluggable RankScheduler (mpism/scheduler.hpp); the engine only tells
-// it when a rank blocks and whose wake predicate may have flipped. Matching is *eager*: every send
-// is matched against posted receives at injection time and every receive
-// against queued sends at post time, so the invariant "no pending posted
-// receive is compatible with any queued unexpected message" holds at all
-// times. Under eager sends this makes "every live rank is blocked" an
-// exact deadlock criterion.
+// Every rank runs as a coop fiber on the thread that called run()
+// (mpism/scheduler.hpp), so engine state needs no lock: the engine only
+// tells the scheduler when a rank blocks and whose wake predicate may
+// have flipped. The verdict flags and their mutex are the one
+// cross-thread surface: Engine::cancel reaches a run from other threads
+// (the explorer's wall-budget watchdog, the SIGINT bridge). Matching is
+// *eager*: every send is matched against posted receives at injection
+// time and every receive against queued sends at post time, so the
+// invariant "no pending posted receive is compatible with any queued
+// unexpected message" holds at all times. Under eager sends this makes
+// "every live rank is blocked" — the scheduler's stall — an exact
+// deadlock criterion.
 #pragma once
 
 #include <atomic>
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "mpism/comm.hpp"
-#include "mpism/engine_lock.hpp"
 #include "mpism/envelope.hpp"
 #include "mpism/match_index.hpp"
 #include "mpism/pool.hpp"
@@ -39,7 +36,7 @@
 
 namespace dampi::mpism {
 
-/// Thrown inside a rank thread when the run has been aborted elsewhere
+/// Thrown inside a rank's fiber when the run has been aborted elsewhere
 /// (another rank failed, or a deadlock was detected). Control flow only.
 struct AbortRun {};
 
@@ -136,16 +133,12 @@ class Engine {
     /// they outlive the structures that release into them at teardown.
     SlabPool<RequestRecord> req_pool;
     BufferPool buf_pool;
-    /// Virtual clock. Single-writer (the owning rank); read by other
-    /// ranks' budget charges and by tools without the engine mutex, so
-    /// it is atomic with relaxed ordering.
-    std::atomic<double> vtime{0.0};
-    bool finished = false;
+    /// Virtual clock, written only by the owning rank.
+    double vtime = 0.0;
     bool blocked = false;
     BlockSite block_site;  ///< meaningful while `blocked`
-    /// Wake predicate of the blocked operation; consulted by the deadlock
-    /// detector so a satisfied-but-not-yet-woken rank is not misread as
-    /// stuck.
+    /// Wake predicate of the blocked operation; the scheduler's
+    /// dispatcher evaluates it to decide whether the rank may run.
     std::function<bool()> block_pred;
     /// Unexpected-message and posted-receive queues. Holds non-owning
     /// pointers into `reqs` for posted receives; a record stays indexed
@@ -162,8 +155,8 @@ class Engine {
     std::vector<std::unique_ptr<ToolLayer>> tools;
     std::unique_ptr<ToolCtx> ctx;
 
-    double vt() const { return vtime.load(std::memory_order_relaxed); }
-    void vt_store(double v) { vtime.store(v, std::memory_order_relaxed); }
+    double vt() const { return vtime; }
+    void vt_store(double v) { vtime = v; }
     void vt_add(double us) { vt_store(vt() + us); }
     void vt_floor(double v) {
       if (v > vt()) vt_store(v);
@@ -195,17 +188,16 @@ class Engine {
     CommId dup_comm = kCommNull;
   };
 
-  // Internal primitives; `g` holds the engine mutex.
-  RequestId do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
-                     CommId comm, Bytes payload, bool tool_internal,
-                     bool synchronous, SendInfo* info);
-  RequestId do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
-                     CommId comm, bool tool_internal);
+  // Internal primitives.
+  RequestId do_isend(Rank r, Rank dst_world, Tag tag, CommId comm,
+                     Bytes payload, bool tool_internal, bool synchronous,
+                     SendInfo* info);
+  RequestId do_irecv(Rank r, Rank src_world, Tag tag, CommId comm,
+                     bool tool_internal);
   /// Blocks until `req` completes; does not consume.
-  void block_until_complete(EngineGuard& g, Rank r, RequestId req);
-  /// Runs post_wait hooks (guard dropped) and consumes the request.
-  Status finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
-                        bool run_hooks);
+  void block_until_complete(Rank r, RequestId req);
+  /// Runs post_wait hooks and consumes the request.
+  Status finish_request(Rank r, RequestId req, Bytes* out, bool run_hooks);
   /// Try to match a newly arrived envelope against dst's posted receives.
   /// Returns true when matched (request completed).
   bool match_arrival(Rank dst, Envelope&& env);
@@ -216,36 +208,27 @@ class Engine {
   /// Enter the blocked state and wait for `pred`; throws AbortRun when the
   /// run aborts or deadlocks while waiting.
   template <typename Pred>
-  void blocking_wait(EngineGuard& g, Rank r, const BlockSite& site,
-                     Pred pred);
-  /// Called with the engine mutex held right before a rank would block
-  /// (or after it finishes); if every other live rank is already
-  /// blocked, declares a deadlock. A no-op under schedulers that detect
-  /// stalls themselves (coop): there a rank can be runnable-but-
-  /// unscheduled, which this count-based check cannot see, so the
-  /// scheduler's no-candidate scan is authoritative.
-  void maybe_declare_deadlock();
-  /// Declares the deadlock verdict; the engine mutex must be held.
+  void blocking_wait(Rank r, const BlockSite& site, Pred pred);
+  /// Declares the deadlock verdict when the scheduler stalls: every live
+  /// rank is blocked with a false wake predicate.
   void declare_deadlock();
   /// Watchdog verdict: a per-run budget expired. Idempotent; loses to an
-  /// already-declared abort/deadlock. Takes the verdict mutex itself;
-  /// callable with or without the engine mutex held.
+  /// already-declared abort/deadlock. Takes the verdict mutex itself.
   void declare_timeout(std::string reason);
-  /// Budget accounting at MPI-call entry (engine mutex held): counts the op,
-  /// checks the op/vtime/wall budgets, and unwinds via AbortRun when one
-  /// expired. A single predicted-false branch when no budget is armed;
-  /// the wall-clock read is amortized over a 32-op stride.
-  void charge_op(EngineGuard& g, Rank r);
+  /// Budget accounting at MPI-call entry: counts the op, checks the
+  /// op/vtime/wall budgets, and unwinds via AbortRun when one expired. A
+  /// single predicted-false branch when no budget is armed; the
+  /// wall-clock read is amortized over a 32-op stride.
+  void charge_op(Rank r);
   void abort_all();
-  [[noreturn]] void throw_program_error(EngineGuard& g, Rank r,
-                                        const std::string& message);
-  void check_abort(EngineGuard& g);
+  [[noreturn]] void throw_program_error(Rank r, const std::string& message);
+  void check_abort();
   bool stopped() const {
     return aborted_.load(std::memory_order_acquire) ||
            deadlocked_.load(std::memory_order_acquire);
   }
 
-  // Tool hook dispatch (engine mutex not held: hooks may re-enter).
+  // Tool hook dispatch (hooks may re-enter through the raw services).
   void hooks_init(Rank r);
   void hooks_finalize(Rank r);
   void hooks_pre_isend(Rank r, SendCall& call);
@@ -269,42 +252,35 @@ class Engine {
                                  CollResult* tool_result);
   void compute_slot_results(CollSlot& slot, const CommRecord& comm_rec,
                             CollKind kind);
-  Bytes apply_reduce(EngineGuard& g, Rank r, const CollSlot& slot,
-                     const CommRecord& comm_rec);
+  Bytes apply_reduce(Rank r, const CollSlot& slot, const CommRecord& comm_rec);
 
-  void validate_comm_member(EngineGuard& g, Rank r, CommId comm);
+  void validate_comm_member(Rank r, CommId comm);
   std::uint64_t& seq_counter(PerRank& sender, Rank dst, CommId comm);
 
   PerRank& pr(Rank r) { return *ranks_[static_cast<std::size_t>(r)]; }
 
   /// One rank's whole life: tool-stack setup, the program, finalize, and
-  /// result accounting. Runs on whatever execution context (OS thread or
-  /// fiber) the scheduler provides; must not leak exceptions into it.
+  /// result accounting. Runs on the rank's fiber; must not leak
+  /// exceptions into it.
   void rank_body(Rank r, const ProgramFn& program);
 
   RunOptions opts_;
-  /// Built before lock_: whether the lock is taken at all depends on
-  /// where this scheduler runs the ranks (runs_on_one_thread).
-  std::unique_ptr<RankScheduler> sched_;
-  EngineLock lock_;
+  CoopScheduler sched_;
   std::vector<std::unique_ptr<PerRank>> ranks_;
   CommTable comms_;
-  /// choose() mutates the policy RNG; serialized by a leaf mutex.
-  std::mutex policy_mu_;
   std::unique_ptr<MatchPolicy> policy_;
   /// Collective bookkeeping.
   std::map<std::pair<CommId, std::uint64_t>, CollSlot> coll_slots_;
-  std::atomic<std::uint64_t> next_msg_id_{1};
-  std::atomic<RequestId> next_req_id_{1};
+  std::uint64_t next_msg_id_ = 1;
+  RequestId next_req_id_ = 1;
 
-  std::atomic<int> blocked_count_{0};
-  std::atomic<int> finished_count_{0};
   std::atomic<bool> aborted_{false};
   std::atomic<bool> deadlocked_{false};
   std::atomic<bool> timed_out_{false};
   std::atomic<bool> cancelled_{false};
-  /// Leaf mutex (ordered after the engine mutex) guarding the verdict strings
-  /// and one-winner arbitration between deadlock/timeout/cancel/error.
+  /// Guards the verdict strings and one-winner arbitration between
+  /// deadlock/timeout/cancel/error: Engine::cancel reaches a run from
+  /// other threads.
   std::mutex verdict_mu_;
   std::string stop_reason_;
   std::string deadlock_detail_;
@@ -312,16 +288,16 @@ class Engine {
   bool budgets_armed_ = false;
   bool has_wall_deadline_ = false;
   std::chrono::steady_clock::time_point run_deadline_{};
-  std::atomic<std::uint64_t> ops_executed_{0};
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> tool_messages_{0};
-  std::atomic<std::uint64_t> request_leaks_{0};
-  /// Per-rank slots are written under the engine mutex; the
-  /// tool-message total lives in tool_messages_ above (cross-rank).
+  std::uint64_t ops_executed_ = 0;
+  std::uint64_t messages_sent_ = 0;
+  std::uint64_t tool_messages_ = 0;
+  std::uint64_t request_leaks_ = 0;
+  /// Per-rank op counts; the tool-message total lives in tool_messages_
+  /// above.
   OpStats stats_;
   /// Envelope small-buffer counters (published as engine.envelope.*).
-  std::atomic<std::uint64_t> payload_inline_hits_{0};
-  std::atomic<std::uint64_t> payload_heap_spills_{0};
+  std::uint64_t payload_inline_hits_ = 0;
+  std::uint64_t payload_heap_spills_ = 0;
 
   friend class ToolCtxImpl;
 };

@@ -178,7 +178,7 @@ struct Envelope {
   Rank sender_world = -1;
   /// Direct pointer to the sender's request record for synchronous
   /// sends (slab storage, address-stable for the run). The receiver
-  /// completes the rendezvous through this pointer's atomics.
+  /// completes the rendezvous through this pointer.
   RequestRecord* sender_rec = nullptr;
 };
 

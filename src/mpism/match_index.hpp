@@ -19,12 +19,11 @@
 // — because the engine's visible behaviour (wildcard nondeterminism
 // included) is a function of exactly these answers.
 //
-// Key invariants the lanes lean on (the engine mutex is held around all
-// of this):
+// Key invariants the lanes lean on (one rank at a time runs engine code):
 //  - Arrival order within one rank's unexpected queue == msg_id order:
-//    msg_id assignment and queue insertion happen in the same critical
-//    section, so lane heads can be compared by msg_id to find the
-//    queue-order-earliest message.
+//    msg_id assignment and queue insertion happen in one engine call with
+//    no fiber switch between them, so lane heads can be compared by msg_id
+//    to find the queue-order-earliest message.
 //  - Per-source lanes are FIFO ⇒ each lane head is the oldest
 //    compatible message from that source ⇒ the wildcard candidate set
 //    is exactly the set of lane heads (MPI non-overtaking).

@@ -10,10 +10,10 @@
 // engine (unextracted receives) — capacity is retained and handed back
 // to the next engine-internal copy.
 //
-// Thread safety: none. Pools are per-rank in the engine and guarded by
-// the engine mutex, exactly like the structures they feed. Stats are plain
-// integers for the same reason; the engine aggregates them across ranks
-// and publishes to the obs::Registry (`engine.pool.*`) once per run.
+// Thread safety: none. Pools are per-rank in the engine, whose ranks all
+// run on one host thread, exactly like the structures they feed. Stats are
+// plain integers for the same reason; the engine aggregates them across
+// ranks and publishes to the obs::Registry (`engine.pool.*`) once per run.
 #pragma once
 
 #include <algorithm>

@@ -1,7 +1,6 @@
 // Request records for nonblocking operations.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "mpism/envelope.hpp"
@@ -26,10 +25,9 @@ struct RequestRecord {
   CommId comm = kCommWorld;
 
   /// True once matched (recv) / injected (send). Eager sends complete at
-  /// creation time. Atomic because a synchronous send is completed by
-  /// the receiving rank through Envelope::sender_rec (store-release),
-  /// and the sender's wake predicate load-acquires it.
-  std::atomic<bool> complete{false};
+  /// creation time; a synchronous send is completed by the receiving
+  /// rank through Envelope::sender_rec.
+  bool complete = false;
   /// True once consumed by wait/test; consumed requests are removed from
   /// the table (leak accounting counts unconsumed ones at finalize).
   bool consumed = false;
@@ -42,9 +40,8 @@ struct RequestRecord {
 
   /// Virtual time at which the operation completed remotely (synchronous
   /// sends: when the matching receive released it, plus the ack
-  /// latency). 0 for operations that complete locally. Written before
-  /// the `complete` release-store; read after its acquire-load.
-  std::atomic<double> complete_vtime{0.0};
+  /// latency). 0 for operations that complete locally.
+  double complete_vtime = 0.0;
 
   /// Virtual time at which the operation was posted.
   double post_vtime = 0.0;

@@ -17,7 +17,7 @@
 namespace dampi::mpism {
 
 /// The program under test: executed once on every rank, in its own
-/// thread. Programs must be deterministic functions of their rank and of
+/// fiber. Programs must be deterministic functions of their rank and of
 /// message-match outcomes — the precondition every dynamic verifier
 /// (ISP, DAMPI) places on replay.
 using ProgramFn = std::function<void(Proc&)>;
@@ -29,8 +29,8 @@ struct RunOptions {
   /// eligible (SELF_RUN behaviour).
   PolicyKind policy = PolicyKind::kLowestSource;
   std::uint64_t policy_seed = 1;
-  /// How ranks execute and who advances next (deterministic
-  /// run-to-block fibers by default, or thread-per-rank).
+  /// Which runnable rank fiber advances next (deterministic run-to-block
+  /// dispatch; round-robin by default).
   SchedOptions sched;
   /// Interposition stack; empty means a native (uninstrumented) run.
   ToolSetup tools;

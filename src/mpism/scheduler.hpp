@@ -1,51 +1,43 @@
-// Pluggable rank scheduling for the mpism engine.
+// Rank scheduling for the mpism engine: cooperative run-to-block fibers.
 //
-// The engine executes one program instance per rank; how those instances
-// share the host is a policy question this interface isolates:
+// Every rank is a ucontext fiber on the thread that called run(). A rank
+// runs until it blocks in an MPI operation, then yields to the
+// dispatcher, which deterministically picks the next runnable rank
+// (round-robin, seeded-random, or seeded-priority). Native runs are
+// bit-reproducible by construction, and rank counts in the hundreds cost
+// fibers instead of OS threads — the run-to-block discipline of
+// centralized-scheduler verifiers (ISP, MPI-SV) applied to the paper's
+// eager-matching simulator.
 //
-//  - ThreadScheduler: one OS thread per rank (the original engine
-//    behaviour). Preemption points are wherever the OS puts them, so
-//    wildcard match order on a native run depends on host scheduling.
-//  - CoopScheduler: every rank is a ucontext fiber on the *calling*
-//    thread. A rank runs until it blocks in an MPI operation, then
-//    yields to the scheduler, which deterministically picks the next
-//    runnable rank (round-robin, seeded-random, or seeded-priority).
-//    Native runs become bit-reproducible by construction, and rank
-//    counts in the hundreds cost fibers instead of OS threads — the
-//    run-to-block discipline of centralized-scheduler verifiers (ISP,
-//    MPI-SV) applied to the paper's eager-matching simulator.
+// Contract: `block`/`yield` are called by the running rank and return
+// once `wake_ready(rank)` or `stop()` is true (block) or once the rank is
+// dispatched again (yield). `wake`/`wake_all` may be called from any
+// thread — external cancellation calls wake_all from its own — and are
+// hints: the dispatcher re-validates every candidate against its wake
+// predicate. A stall (no runnable rank, not all finished) is reported
+// through `on_stall`; with eager matching that is an exact deadlock
+// criterion.
 //
-// Contract: the engine's state is guarded by one engine mutex (an
-// EngineLock — see engine_lock.hpp). `block`/`yield` are called by a
-// rank holding an EngineGuard on it and return with the same guard held
-// once `wake_ready(rank)` or `stop()` is true; the scheduler releases
-// and reacquires the guard around the actual park (both no-ops when
-// runs_on_one_thread() made the engine lock-free). `wake`/`wake_all` may
-// be called from any thread, with or without the engine mutex held (they
-// only touch scheduler-internal leaf state), and are hints — a
-// scheduler may wake spuriously but must never lose a wakeup.
-// `wake_ready(r)` is only ever evaluated by rank r itself under its own
-// guard (ThreadScheduler) or by the single dispatch thread
-// (CoopScheduler), so the predicate reads rank-r state race-free. Under
-// the coop scheduler a stall (no runnable rank, not all finished) is
-// reported through `on_stall`, which must take the engine guard itself;
-// with eager matching this is an exact deadlock criterion, replacing the
-// engine's own count-based check (see Engine::maybe_declare_deadlock).
+// Every fiber switch goes through one helper that tells AddressSanitizer
+// and ThreadSanitizer about the stack change, so sanitized builds run the
+// same fibers as every other build.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "mpism/engine_lock.hpp"
+#include "common/rng.hpp"
 #include "mpism/types.hpp"
 
 namespace dampi::mpism {
 
-enum class SchedulerKind { kThread, kCoop };
+/// The rank execution model. Coop fibers are the only one; the enum
+/// stays for callers that still name it.
+enum class SchedulerKind { kCoop };
 
 /// How the coop scheduler picks among runnable ranks. All three are
 /// deterministic functions of (seed, pick history), so a given
@@ -56,19 +48,17 @@ struct SchedOptions {
   SchedulerKind kind = SchedulerKind::kCoop;
   SchedPolicy pick = SchedPolicy::kRoundRobin;
   std::uint64_t seed = 1;
-  /// Per-fiber stack size (coop only); allocated lazily on first
-  /// dispatch, so unstarted ranks cost nothing, and reused by the next
-  /// run on the same thread (`scheduler.stacks_allocated` counts the
-  /// stacks that were not).
+  /// Per-fiber stack size; allocated lazily on first dispatch, so
+  /// unstarted ranks cost nothing, and reused by the next run on the
+  /// same thread (`scheduler.stacks_allocated` counts the stacks that
+  /// were not).
   std::size_t stack_bytes = 256 * 1024;
 };
 
-class RankScheduler {
+class CoopScheduler {
  public:
-  /// Engine-provided hooks. See the locking contract in the header
-  /// comment: wake_ready(r) is evaluated only by rank r (under its
-  /// guard) or by the coop dispatch thread; stop() reads only atomics;
-  /// on_stall/on_deadline acquire their own engine locks.
+  /// Engine-provided hooks. wake_ready(r) and on_stall are only ever
+  /// called on the dispatch thread; stop() reads only atomics.
   struct Callbacks {
     /// Runs one rank's program instance to completion; must not throw
     /// (the engine catches everything inside).
@@ -76,74 +66,80 @@ class RankScheduler {
     /// True when the blocked rank's wake predicate holds.
     std::function<bool(Rank)> wake_ready;
     /// True once the run is aborting or deadlocked: every parked rank
-    /// must be released so it can unwind. Reads only atomics — callable
-    /// from any thread without locks.
+    /// must be released so it can unwind.
     std::function<bool()> stop;
-    /// No rank is runnable and not all have finished (coop only).
-    /// Called lock-free; acquires what it needs and must make stop()
+    /// No rank is runnable and not all have finished. Must make stop()
     /// true.
     std::function<void()> on_stall;
     /// Wall-clock deadline for the whole run; the epoch time_point (the
-    /// default) means unarmed. CoopScheduler checks it in its dispatch
-    /// loop (amortized over 64 dispatches) — that is what catches a
-    /// yield-looping spinner, whose yields never pass through the
-    /// engine's blocking paths. ThreadScheduler ignores it: a parked
-    /// rank is released by stop() when a peer's per-op budget charge or
-    /// the stall detector declares the verdict, so its waits stay
-    /// untimed and off the message critical path.
+    /// default) means unarmed. Checked in the dispatch loop (amortized
+    /// over 64 dispatches) — that is what catches a yield-looping
+    /// spinner, whose yields never pass through the engine's blocking
+    /// paths.
     std::chrono::steady_clock::time_point deadline{};
-    /// Invoked lock-free when `deadline` has passed and the run has not
-    /// stopped. Must be idempotent and must make stop() true.
+    /// Invoked when `deadline` has passed and the run has not stopped.
+    /// Must be idempotent and must make stop() true.
     std::function<void()> on_deadline;
   };
 
-  virtual ~RankScheduler() = default;
+  CoopScheduler(const SchedOptions& options, int nprocs);
+  ~CoopScheduler();
+  CoopScheduler(const CoopScheduler&) = delete;
+  CoopScheduler& operator=(const CoopScheduler&) = delete;
 
   /// Executes `body` for ranks 0..nprocs-1; returns when all finished.
-  virtual void run(const Callbacks& cb) = 0;
-  /// Parks the calling rank until wake_ready(r) or stop(). `g` holds
-  /// the rank's engine guard on entry and on return; the scheduler
-  /// releases it while parked.
-  virtual void block(EngineGuard& g, Rank r) = 0;
-  /// Cedes the processor without blocking: the rank stays runnable and
-  /// will be rescheduled per policy. Called when a non-blocking poll
+  void run(const Callbacks& cb);
+  /// Parks the running rank r until wake_ready(r) or stop().
+  void block(Rank r);
+  /// Cedes the host without blocking: the rank stays runnable and is
+  /// rescheduled per policy. Called when a non-blocking poll
   /// (test*/iprobe) observes "not ready" — under run-to-block execution
   /// a busy-poll loop would otherwise starve every other rank forever.
-  /// No-op for preemptive schedulers.
-  virtual void yield(EngineGuard& g, Rank r) {
-    (void)g;
-    (void)r;
-  }
+  void yield(Rank r);
   /// Hints that r's wake predicate may have flipped. Callable from any
-  /// thread; takes only scheduler-leaf locks, so it is safe (and usual)
-  /// to call while holding the engine mutex.
-  virtual void wake(Rank r) = 0;
-  virtual void wake_all() = 0;
-  /// True when this scheduler performs its own stall (deadlock)
-  /// detection via on_stall, making the engine's count-based check both
-  /// redundant and wrong (a runnable-but-unscheduled rank is neither
-  /// blocked nor finished yet must not trip "everyone is stuck").
-  virtual bool detects_stall() const = 0;
-  /// True when run() executes every rank on the calling host thread, so
-  /// no two ranks' engine code can ever overlap in time. The engine
-  /// then takes no lock at all (see engine_lock.hpp). Asked of the
-  /// scheduler actually built: a coop request in a sanitizer build gets
-  /// a ThreadScheduler, which answers false and keeps its locks.
-  virtual bool runs_on_one_thread() const = 0;
-  virtual const char* name() const = 0;
+  /// thread.
+  void wake(Rank r);
+  void wake_all();
+
+ private:
+  /// One execution context (a fiber, or the host stack run() is called
+  /// on) with its sanitizer bookkeeping; defined in scheduler.cpp.
+  struct Context;
+  struct Fiber;
+
+  static void switch_context(Context& from, Context& to, bool exiting = false);
+  Rank pick();
+  bool probe(Rank r);
+  template <typename Eligible>
+  Rank select(Eligible eligible);
+  void dispatch(Rank r);
+  void prepare_fiber(Fiber& f);
+  static void tramp(int hi, int lo);
+  void fiber_main();
+
+  SchedOptions opts_;
+  int nprocs_;
+  Rng rng_;
+  std::vector<Fiber> fibers_;
+  std::vector<std::uint64_t> priorities_;
+  std::vector<Rank> candidates_;
+  /// The host context; lives on run()'s stack for the run's duration.
+  Context* host_ = nullptr;
+  const Callbacks* cb_ = nullptr;
+  Rank current_ = -1;
+  Rank rr_cursor_ = 0;
+  int finished_ = 0;
+  std::uint64_t wake_probes_ = 0;
+  std::uint64_t stalls_ = 0;
+  std::uint64_t stacks_allocated_ = 0;
 };
 
-/// False when fibers cannot work in this build (thread/address sanitizer
-/// instrumentation does not track ucontext stack switches); callers fall
-/// back to ThreadScheduler.
+/// Always true: fibers run in every build, sanitized ones included.
 bool coop_supported();
 
-std::unique_ptr<RankScheduler> make_scheduler(const SchedOptions& options,
-                                              int nprocs);
-
-/// Parse a CLI scheduler spec: "thread", "coop" (round-robin),
-/// "coop-rr", "coop-random", "coop-priority". Returns false (leaving
-/// `out` untouched) on anything else.
+/// Parse a CLI scheduler spec: "coop" (round-robin), "coop-rr",
+/// "coop-random", "coop-priority". Returns false (leaving `out`
+/// untouched) on anything else.
 bool parse_sched_spec(const std::string& spec, SchedOptions* out);
 
 /// Canonical spec string for the given options (inverse of parse).

@@ -1,7 +1,7 @@
 // Fundamental types of the mpism MPI runtime simulator.
 //
 // mpism is the stand-in for a real MPI library (MVAPICH2 in the paper): an
-// in-process runtime with one thread per rank, an eager-send matching
+// in-process runtime with one coop fiber per rank, an eager-send matching
 // engine that honors MPI's non-overtaking rule, communicators, collectives
 // with relaxed completion semantics, probes, and deadlock detection. The
 // verifier layers (src/core, src/isp) sit on top of it through a

@@ -6,42 +6,34 @@
 //    communicators) against which the real transports are validated.
 #pragma once
 
-#include <condition_variable>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
+#include "common/check.hpp"
 #include "piggyback/transport.hpp"
 
 namespace dampi::piggyback {
 
-/// Run-wide shared clock table. Thread-safe. take() blocks until the
-/// sender has deposited: a receiver can observe a message's completion
-/// before the sender's post-injection hook has run (hooks execute outside
-/// the engine lock), and the deposit always follows injection in the
-/// sender's own call stack, so the wait is short and cannot deadlock.
+/// Run-wide shared clock table. A run's ranks share one host thread, and
+/// a sender deposits in its post-injection hook, before it can block or
+/// yield — so by the time any receiver completes the message its clock
+/// is on the board. take() checks that instead of waiting: nothing could
+/// deposit while the receiver waited.
 class TelepathicBoard {
  public:
   void put(std::uint64_t msg_id, mpism::Bytes clock) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      clocks_[msg_id] = std::move(clock);
-    }
-    cv_.notify_all();
+    clocks_[msg_id] = std::move(clock);
   }
 
   mpism::Bytes take(std::uint64_t msg_id) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return clocks_.count(msg_id) != 0; });
     auto it = clocks_.find(msg_id);
+    DAMPI_CHECK_MSG(it != clocks_.end(), "telepathic clock never deposited");
     mpism::Bytes clock = std::move(it->second);
     clocks_.erase(it);
     return clock;
   }
 
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
   std::unordered_map<std::uint64_t, mpism::Bytes> clocks_;
 };
 

@@ -13,8 +13,8 @@ namespace {
 
 /// Counts this rank's MPI calls exactly like FaultLayer does (one count
 /// per pre_* hook, in program order) and records each call's kind.
-/// Ranks write disjoint slots of a pre-sized shared vector, so
-/// concurrent rank threads never contend.
+/// Ranks write disjoint slots of a pre-sized shared vector, so they never
+/// touch each other's entries.
 class InventoryLayer final : public mpism::ToolLayer {
  public:
   InventoryLayer(std::shared_ptr<std::vector<std::string>> ops,

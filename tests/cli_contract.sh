@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # verify_cli contract, run by ctest under the `cli` label:
 #   1. every malformed flag value is a usage error (exit 3) naming the
-#      flag, never a crash or a silently substituted value;
+#      flag, never a crash or a silently substituted value (`--sched
+#      thread` too: coop fibers are the only rank scheduler);
 #   2. a program run on fewer ranks than it needs is a usage error
 #      (exit 3) whose message names --procs and holds no file path;
 #   3. a distributed campaign reports the same exit code and verdict at
@@ -26,7 +27,7 @@ fail() {
 
 malformed=(
   "--procs 0" "--procs -2" "--procs abc" "--clock vectr" "--jobs 3x"
-  "--max-interleavings abc" "--run-deadline xyz" "--k -1"
+  "--max-interleavings abc" "--run-deadline xyz" "--k -1" "--sched thread"
 )
 for case in "${malformed[@]}"; do
   read -r -a args <<< "${case}"

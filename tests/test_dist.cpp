@@ -181,16 +181,16 @@ FaultCampaign run_sharded_fault_campaign(const ExplorerOptions& base,
   return campaign;
 }
 
-// --- Sharded == unsharded, across widths, schedulers, clock modes ---------
+// --- Sharded == unsharded, across widths, dispatch policies, clocks ------
 
 class ShardEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<std::size_t, mpism::SchedulerKind, core::ClockMode>> {};
+          std::tuple<std::size_t, mpism::SchedPolicy, core::ClockMode>> {};
 
 TEST_P(ShardEquivalence, CampaignMatchesSingleWalk) {
-  const auto [shards, sched, clock] = GetParam();
+  const auto [shards, pick, clock] = GetParam();
   ExplorerOptions options = explorer_options(4);
-  options.sched.kind = sched;
+  options.sched.pick = pick;
   // Vector clocks also switch on sleep-set pruning (the default POR
   // mode), so the campaign must reproduce the pruned walk too.
   options.clock_mode = clock;
@@ -216,8 +216,8 @@ INSTANTIATE_TEST_SUITE_P(
     Widths, ShardEquivalence,
     ::testing::Combine(::testing::Values(std::size_t{2}, std::size_t{4},
                                          std::size_t{8}),
-                       ::testing::Values(mpism::SchedulerKind::kThread,
-                                         mpism::SchedulerKind::kCoop),
+                       ::testing::Values(mpism::SchedPolicy::kRoundRobin,
+                                         mpism::SchedPolicy::kRandomSeeded),
                        ::testing::Values(core::ClockMode::kLamport,
                                          core::ClockMode::kVector)));
 
@@ -225,9 +225,8 @@ INSTANTIATE_TEST_SUITE_P(
 // single walk reports (fig3's single failing interleaving).
 TEST(Dist, ShardedCampaignFindsAndDedupsBugs) {
   ExplorerOptions options = explorer_options(3);
-  options.sched.kind = mpism::SchedulerKind::kCoop;
-  // Pinned discovery root (benign match first), so the comparison holds
-  // where coop falls back to racing OS threads (sanitizer builds).
+  // Pinned discovery root (benign match first), so the single walk has
+  // a flip to replay into the bug.
   options.initial_schedule.forced[core::EpochKey{1, 0}] = 0;
 
   ScheduleBag single_bag;
@@ -254,7 +253,6 @@ TEST(Dist, ShardedCampaignFindsAndDedupsBugs) {
 // the same fire accounting at every shard width.
 TEST(DistFault, ErrorInjectionMatchesSequentialAcrossWidths) {
   ExplorerOptions options = explorer_options(4);
-  options.sched.kind = mpism::SchedulerKind::kCoop;
   const char* spec = "error@0:5";  // root's receive loop, after branching
 
   std::string parse_error;
@@ -290,7 +288,6 @@ TEST(DistFault, ErrorInjectionMatchesSequentialAcrossWidths) {
 // discovery + shards.
 TEST(DistFault, DelayInjectionKeepsVerdictsAndFireAccounting) {
   ExplorerOptions options = explorer_options(4);
-  options.sched.kind = mpism::SchedulerKind::kCoop;
   const char* spec = "delay@1:1:500";
 
   std::string parse_error;
@@ -325,7 +322,6 @@ TEST(DistFault, DelayInjectionKeepsVerdictsAndFireAccounting) {
 // is the --fault ... --workers N == --workers 1 accounting contract.
 TEST(DistFault, SaturatedFlakyCounterPropagatesIntoShards) {
   ExplorerOptions options = explorer_options(4);
-  options.sched.kind = mpism::SchedulerKind::kCoop;
   options.max_retries = 3;
   options.retry_backoff_ms = 0.1;
   const char* spec = "flaky@0:2:2";  // burned by the discovery run's retries
@@ -364,7 +360,6 @@ TEST(DistFault, SaturatedFlakyCounterPropagatesIntoShards) {
 // checkpoint separately must cover exactly the un-stolen walk's set.
 TEST(Dist, StealSplitsWorkWithoutLossOrDuplication) {
   ExplorerOptions options = explorer_options(4);
-  options.sched.kind = mpism::SchedulerKind::kCoop;
 
   ScheduleBag baseline_bag;
   ExploreResult baseline = Explorer(options).explore(
@@ -458,7 +453,6 @@ TEST(Dist, StealSplitsWorkWithoutLossOrDuplication) {
 // the victim then finishes every interleaving itself.
 TEST(Dist, StealRefusesSubThresholdFrontier) {
   ExplorerOptions options = explorer_options(3);
-  options.sched.kind = mpism::SchedulerKind::kCoop;
 
   ScheduleBag baseline_bag;
   ExploreResult baseline = Explorer(options).explore(
@@ -552,7 +546,6 @@ TEST(Dist, StealRefusesSubThresholdFrontier) {
 // with every interleaving counted exactly once.
 TEST(Dist, CancelledShardResumesFromJournalExactlyOnce) {
   ExplorerOptions options = explorer_options(4);
-  options.sched.kind = mpism::SchedulerKind::kCoop;
 
   ExploreResult baseline = Explorer(options).explore(fan_in(2));
   ASSERT_GT(baseline.interleavings, 4u);

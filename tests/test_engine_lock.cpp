@@ -1,16 +1,16 @@
-// Engine-lock suite (ctest label `enginelock`):
+// Engine stress suite (ctest label `concurrency`, so it also runs under
+// ThreadSanitizer):
 //
-//  - thread-scheduler programs: randomized small programs under real
-//    OS threads keep their schedule-independent invariants;
-//  - thread-scheduler stress: wildcard fan-ins and all-pairs cross-rank
-//    churn — the TSan workout for the engine mutex, the eventcount
-//    parkers, and the rendezvous completion handshake (label
-//    `concurrency` puts it in the tier-1 sanitizer sweep);
-//  - deadlock verdicts on the deadlock patterns under both schedulers,
-//    reproducible bit for bit under coop;
-//  - observability: a thread run accounts lock acquisitions and
-//    envelope inline hits in the metrics registry; a coop run, whose
-//    ranks all share one host thread, takes no engine lock at all.
+//  - randomized programs: small message soups under seeded coop-random
+//    dispatch keep their schedule-independent invariants;
+//  - fiber stress: wildcard fan-ins and all-pairs cross-rank churn over
+//    many coop-random seeds — the sanitizers' workout for the fiber
+//    switches, the reused fiber stacks, and the rendezvous completion
+//    handshake;
+//  - deadlock verdicts on the deadlock patterns, reproducible bit for
+//    bit;
+//  - observability: a run accounts envelope inline hits in the metrics
+//    registry.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -141,7 +141,8 @@ void run_script(mpism::Proc& p,
 mpism::RunOptions case_options(const ProgramCase& c) {
   mpism::RunOptions options;
   options.nprocs = c.nprocs;
-  options.sched.kind = mpism::SchedulerKind::kThread;
+  options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
+  options.sched.seed = c.seed;
   switch (c.seed % 3) {
     case 0: options.policy = mpism::PolicyKind::kLowestSource; break;
     case 1: options.policy = mpism::PolicyKind::kFifoArrival; break;
@@ -151,9 +152,10 @@ mpism::RunOptions case_options(const ProgramCase& c) {
   return options;
 }
 
-// Thread-scheduler programs: match order is host-timing-dependent, so
-// only schedule-independent invariants are checked — every run completes
-// cleanly and sends exactly the scripted messages.
+// Randomized programs, each under its own coop-random dispatch seed:
+// match order depends on the seed, so only schedule-independent
+// invariants are checked — every run completes cleanly and sends exactly
+// the scripted messages.
 TEST(EngineLockDifferential, ThreadSchedulerInvariantsAgree) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     ProgramCase c;
@@ -179,12 +181,13 @@ TEST(EngineLockDifferential, ThreadSchedulerInvariantsAgree) {
 }
 
 // ---------------------------------------------------------------------
-// Stress under real OS threads — the TSan target. Two traffic shapes
-// hammer the engine mutex from every rank at once:
+// Fiber stress — the sanitizer target. Two traffic shapes switch fibers
+// constantly, each run under a fresh coop-random seed so the dispatch
+// order varies the way an OS scheduler's would:
 //
 //  - wildcard fan-in: every rank floods rank 0, which drains the pile
-//    through ANY_SOURCE receives (all senders contend on the mutex
-//    while rank 0 holds and re-drops it in blocking_wait);
+//    through ANY_SOURCE receives, parking in blocking_wait between
+//    arrivals;
 //  - all-pairs churn: every rank posts a receive from and sends to
 //    every other rank each round, with sync sends mixed in so the
 //    rendezvous completion handshake runs constantly.
@@ -237,33 +240,42 @@ void all_pairs_churn(mpism::Proc& p, int rounds) {
   }
 }
 
-TEST(EngineLockStress, ShardedWildcardFanInUnderThreads) {
+mpism::RunOptions stress_options(int nprocs, std::uint64_t seed) {
   mpism::RunOptions options;
-  options.nprocs = 6;
-  options.sched.kind = mpism::SchedulerKind::kThread;
-  const auto report = run_program(options, [](mpism::Proc& p) {
-    wildcard_fanin(p, /*rounds=*/6, /*senders_per_round=*/8);
-  });
-  ASSERT_TRUE(report.ok()) << report.deadlock_detail;
-  EXPECT_EQ(report.messages_sent, 6u * 5u * 8u);
+  options.nprocs = nprocs;
+  options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
+  options.sched.seed = seed;
+  return options;
+}
+
+TEST(EngineLockStress, ShardedWildcardFanInUnderThreads) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto report =
+        run_program(stress_options(6, seed), [](mpism::Proc& p) {
+          wildcard_fanin(p, /*rounds=*/6, /*senders_per_round=*/8);
+        });
+    ASSERT_TRUE(report.ok()) << "seed " << seed << ": "
+                             << report.deadlock_detail;
+    EXPECT_EQ(report.messages_sent, 6u * 5u * 8u) << "seed " << seed;
+  }
 }
 
 TEST(EngineLockStress, ShardedAllPairsChurnUnderThreads) {
-  mpism::RunOptions options;
-  options.nprocs = 5;
-  options.sched.kind = mpism::SchedulerKind::kThread;
-  const auto report = run_program(options, [](mpism::Proc& p) {
-    all_pairs_churn(p, /*rounds=*/10);
-  });
-  ASSERT_TRUE(report.ok()) << report.deadlock_detail;
-  EXPECT_EQ(report.messages_sent, 10u * 5u * 4u);
-  EXPECT_EQ(report.request_leaks, 0u);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto report =
+        run_program(stress_options(5, seed), [](mpism::Proc& p) {
+          all_pairs_churn(p, /*rounds=*/10);
+        });
+    ASSERT_TRUE(report.ok()) << "seed " << seed << ": "
+                             << report.deadlock_detail;
+    EXPECT_EQ(report.messages_sent, 10u * 5u * 4u) << "seed " << seed;
+    EXPECT_EQ(report.request_leaks, 0u) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------
-// Deadlock verdicts: simple_deadlock deadlocks under both schedulers
-// (thread: the engine's count-based scan under the mutex; coop: the
-// scheduler's stall detection), and under coop a rerun reproduces the
+// Deadlock verdicts: simple_deadlock deadlocks under every dispatch
+// policy (the scheduler's stall detection), and a rerun reproduces the
 // whole report (detail text included) bit for bit.
 TEST(EngineLockDifferential, DeadlockVerdictParity) {
   struct Pattern {
@@ -277,78 +289,43 @@ TEST(EngineLockDifferential, DeadlockVerdictParity) {
        workloads::wildcard_dependent_deadlock, 3},
   };
   for (const auto& pat : patterns) {
-    for (const auto sched_kind : {mpism::SchedulerKind::kThread,
-                                  mpism::SchedulerKind::kCoop}) {
-      if (sched_kind == mpism::SchedulerKind::kCoop &&
-          !mpism::coop_supported()) {
-        continue;
-      }
-      std::optional<std::string> coop_fp;
+    for (const auto pick :
+         {mpism::SchedPolicy::kRoundRobin, mpism::SchedPolicy::kRandomSeeded,
+          mpism::SchedPolicy::kPriority}) {
+      std::optional<std::string> first_fp;
       for (int attempt = 0; attempt < 2; ++attempt) {
         mpism::RunOptions options;
         options.nprocs = pat.nprocs;
-        options.sched.kind = sched_kind;
+        options.sched.pick = pick;
         options.policy = mpism::PolicyKind::kFifoArrival;
         const auto report = run_program(options, pat.fn);
         if (std::string(pat.name) == "simple_deadlock") {
           EXPECT_TRUE(report.deadlocked) << pat.name << " run " << attempt;
         }
-        if (sched_kind == mpism::SchedulerKind::kCoop) {
-          const std::string fp = fingerprint(report);
-          if (!coop_fp.has_value()) {
-            coop_fp = fp;
-          } else {
-            EXPECT_EQ(fp, *coop_fp) << pat.name << ": coop rerun diverged";
-          }
+        const std::string fp = fingerprint(report);
+        if (!first_fp.has_value()) {
+          first_fp = fp;
+        } else {
+          EXPECT_EQ(fp, *first_fp) << pat.name << ": rerun diverged";
         }
       }
     }
   }
 }
 
-// A thread-scheduler run publishes lock and envelope accounting: it must
-// acquire the engine mutex, and small payloads must land in the inline
+// A run publishes envelope accounting: small payloads land in the inline
 // arm.
 TEST(EngineLockObs, ShardedRunAccountsLockAndInlineTraffic) {
   auto& reg = obs::Registry::instance();
   reg.reset();
   mpism::RunOptions options;
   options.nprocs = 4;
-  options.sched.kind = mpism::SchedulerKind::kThread;
   const auto report = run_program(options, [](mpism::Proc& p) {
     all_pairs_churn(p, /*rounds=*/4);
   });
   ASSERT_TRUE(report.ok()) << report.deadlock_detail;
-  EXPECT_GT(reg.counter("engine.lock.acquired").value(), 0u);
   EXPECT_GT(reg.counter("engine.envelope.inline_hits").value(), 0u);
-  reg.reset();
-}
-
-// The coop scheduler runs every rank on one host thread, so its engine
-// takes no lock; the thread scheduler does.
-TEST(EngineLockObs, CoopRunTakesNoEngineLockThreadRunDoes) {
-  SKIP_WITHOUT_COOP();
-  auto& reg = obs::Registry::instance();
-  for (const auto sched_kind :
-       {mpism::SchedulerKind::kCoop, mpism::SchedulerKind::kThread}) {
-    reg.reset();
-    mpism::RunOptions options;
-    options.nprocs = 4;
-    options.sched.kind = sched_kind;
-    const auto report = run_program(options, [](mpism::Proc& p) {
-      all_pairs_churn(p, /*rounds=*/4);
-    });
-    ASSERT_TRUE(report.ok()) << report.deadlock_detail;
-    const char* what =
-        sched_kind == mpism::SchedulerKind::kCoop ? "coop" : "thread";
-    if (sched_kind == mpism::SchedulerKind::kCoop) {
-      EXPECT_EQ(reg.counter("engine.lock.acquired").value(), 0u) << what;
-      EXPECT_EQ(reg.counter("engine.lock.contended").value(), 0u) << what;
-    } else {
-      EXPECT_GT(reg.counter("engine.lock.acquired").value(), 0u) << what;
-    }
-    EXPECT_EQ(reg.counter("engine.runs").value(), 1u) << what;
-  }
+  EXPECT_EQ(reg.counter("engine.runs").value(), 1u);
   reg.reset();
 }
 

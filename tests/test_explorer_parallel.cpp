@@ -145,37 +145,38 @@ TEST(ExplorerParallel, Fig3BuggyIsJobsInvariant) {
                         "fig3-bug");
 }
 
-// The raw (natively racy) fig3 bug, on the thread scheduler where the
-// race lives: whatever the self-run happened to match, every jobs value
+// The raw (natively racy) fig3 bug under several coop-random seeds, so
+// the self-run's match varies: whatever it matched, every jobs value
 // must find the bug, the reproducer must replay it, and the set of
 // visited outcomes must match the sequential walk's guarantee. (Exact
-// fingerprints are compared on the determinized variant above — two
-// sequential explorations of raw fig3 already disagree on interleaving
-// indices.)
+// fingerprints are compared on the determinized variant above.)
 TEST(ExplorerParallel, Fig3RawBugFoundAtEveryJobsValue) {
-  ExplorerOptions options = explorer_options(3);
-  options.sched.kind = mpism::SchedulerKind::kThread;
-  for (const int jobs : {1, 2, 4}) {
-    ExplorerOptions opt = options;
-    opt.jobs = jobs;
-    std::set<OutcomeSignature> outcomes;
-    Explorer explorer(opt);
-    const auto result = explorer.explore(
-        workloads::fig3_wildcard_bug,
-        [&outcomes](const core::RunTrace& trace,
-                    const mpism::RunReport& report, const Schedule&) {
-          outcomes.insert(signature_of(trace, report));
-        });
-    ASSERT_TRUE(result.found_bug()) << "jobs=" << jobs;
-    EXPECT_LE(result.interleavings, 2u) << "jobs=" << jobs;
-    // Both reachable outcomes were visited regardless of jobs.
-    EXPECT_EQ(outcomes.size(), result.interleavings) << "jobs=" << jobs;
-    const auto rerun = run_dampi_once(options, result.bugs.back().schedule,
-                                      workloads::fig3_wildcard_bug);
-    ASSERT_FALSE(rerun.report.errors.empty()) << "jobs=" << jobs;
-    EXPECT_NE(rerun.report.errors[0].message.find("x == 33"),
-              std::string::npos)
-        << "jobs=" << jobs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ExplorerOptions options = explorer_options(3);
+    options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
+    options.sched.seed = seed;
+    for (const int jobs : {1, 2, 4}) {
+      ExplorerOptions opt = options;
+      opt.jobs = jobs;
+      std::set<OutcomeSignature> outcomes;
+      Explorer explorer(opt);
+      const auto result = explorer.explore(
+          workloads::fig3_wildcard_bug,
+          [&outcomes](const core::RunTrace& trace,
+                      const mpism::RunReport& report, const Schedule&) {
+            outcomes.insert(signature_of(trace, report));
+          });
+      ASSERT_TRUE(result.found_bug()) << "jobs=" << jobs;
+      EXPECT_LE(result.interleavings, 2u) << "jobs=" << jobs;
+      // Both reachable outcomes were visited regardless of jobs.
+      EXPECT_EQ(outcomes.size(), result.interleavings) << "jobs=" << jobs;
+      const auto rerun = run_dampi_once(options, result.bugs.back().schedule,
+                                        workloads::fig3_wildcard_bug);
+      ASSERT_FALSE(rerun.report.errors.empty()) << "jobs=" << jobs;
+      EXPECT_NE(rerun.report.errors[0].message.find("x == 33"),
+                std::string::npos)
+          << "jobs=" << jobs;
+    }
   }
 }
 
@@ -235,33 +236,35 @@ TEST(ExplorerParallel, StopOnFirstErrorIsJobsInvariant) {
   expect_jobs_invariant(fan, ordered_fan_in_bug(), "fan-in-stop-first");
 }
 
-// The raw buggy matmult under stop_on_first_error, on the thread
-// scheduler: the master's wildcard matches race in the self-run, so
-// interleaving indices are not reproducible even sequentially — but
-// every jobs value must still find the order bug and hand back a
-// replaying reproducer.
+// The raw buggy matmult under stop_on_first_error, under several
+// coop-random seeds: the master's wildcard matches differ from seed to
+// seed in the self-run, but every jobs value must still find the order
+// bug and hand back a replaying reproducer.
 TEST(ExplorerParallel, StopOnFirstErrorFindsRacyMatmultBug) {
-  ExplorerOptions options = explorer_options(3);
-  options.sched.kind = mpism::SchedulerKind::kThread;
-  options.stop_on_first_error = true;
-  options.max_interleavings = 64;
-  workloads::MatmultConfig config;
-  config.n = 4;
-  config.chunk_rows = 2;
-  config.inject_order_bug = true;
-  const auto program = [config](Proc& p) { workloads::matmult(p, config); };
-  for (const int jobs : {1, 2, 4}) {
-    ExplorerOptions opt = options;
-    opt.jobs = jobs;
-    Explorer explorer(opt);
-    const auto result = explorer.explore(program);
-    ASSERT_TRUE(result.found_bug()) << "jobs=" << jobs;
-    const auto rerun =
-        run_dampi_once(options, result.bugs.back().schedule, program);
-    ASSERT_FALSE(rerun.report.errors.empty()) << "jobs=" << jobs;
-    EXPECT_NE(rerun.report.errors[0].message.find("matmult:"),
-              std::string::npos)
-        << "jobs=" << jobs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ExplorerOptions options = explorer_options(3);
+    options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
+    options.sched.seed = seed;
+    options.stop_on_first_error = true;
+    options.max_interleavings = 64;
+    workloads::MatmultConfig config;
+    config.n = 4;
+    config.chunk_rows = 2;
+    config.inject_order_bug = true;
+    const auto program = [config](Proc& p) { workloads::matmult(p, config); };
+    for (const int jobs : {1, 2, 4}) {
+      ExplorerOptions opt = options;
+      opt.jobs = jobs;
+      Explorer explorer(opt);
+      const auto result = explorer.explore(program);
+      ASSERT_TRUE(result.found_bug()) << "jobs=" << jobs;
+      const auto rerun =
+          run_dampi_once(options, result.bugs.back().schedule, program);
+      ASSERT_FALSE(rerun.report.errors.empty()) << "jobs=" << jobs;
+      EXPECT_NE(rerun.report.errors[0].message.find("matmult:"),
+                std::string::npos)
+          << "jobs=" << jobs;
+    }
   }
 }
 

@@ -89,14 +89,9 @@ TEST(Isp, SlowdownExceedsDampi) {
 
 // The paper's Fig. 5 shape in miniature: ISP's verification time grows
 // much faster with process count than DAMPI's on a deterministic,
-// communication-heavy program. Both sides run on the coop scheduler:
-// SchedulerSim serves calls in host arrival order, which under
-// thread-per-rank scheduling depends on OS timing (and on host load), so
-// the measured virtual times must come from a deterministic dispatch.
+// communication-heavy program. SchedulerSim serves calls in host arrival
+// order, which the deterministic coop dispatch fixes.
 TEST(Isp, CentralizedCostScalesWorseThanDampi) {
-  SKIP_WITHOUT_COOP();
-  mpism::SchedOptions coop;
-  coop.kind = mpism::SchedulerKind::kCoop;
   auto comm_heavy = [](Proc& p) {
     const int n = p.size();
     for (int round = 0; round < 20; ++round) {
@@ -113,14 +108,12 @@ TEST(Isp, CentralizedCostScalesWorseThanDampi) {
     if (use_isp) {
       IspOptions options = isp_options(nprocs);
       options.explorer.max_interleavings = 1;
-      options.explorer.sched = coop;
       IspVerifier verifier(options);
       return verifier.verify(comm_heavy).instrumented_vtime_us;
     }
     core::VerifyOptions options;
     options.explorer = explorer_options(nprocs);
     options.explorer.max_interleavings = 1;
-    options.explorer.sched = coop;
     core::Verifier verifier(options);
     return verifier.verify(comm_heavy).instrumented_vtime_us;
   };

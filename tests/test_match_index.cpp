@@ -10,10 +10,11 @@
 //    FIFO delivery, wildcard candidates == set of lane heads (tool
 //    traffic excluded), earliest-posted-wins across the four posted
 //    lanes;
-//  - thread-scheduler programs: schedule-independent invariants of
-//    randomized programs hold (and give TSan a workout over the lanes);
-//  - deadlock verdicts on the deadlock patterns under both schedulers,
-//    reproducible under coop.
+//  - seeded programs: schedule-independent invariants of randomized
+//    programs hold under coop-random dispatch (and give TSan a workout
+//    over the lanes);
+//  - deadlock verdicts on the deadlock patterns, reproducible bit for
+//    bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -480,7 +481,8 @@ std::string fingerprint(const mpism::RunReport& r) {
 mpism::RunOptions case_options(const ProgramCase& c) {
   mpism::RunOptions options;
   options.nprocs = c.nprocs;
-  options.sched.kind = mpism::SchedulerKind::kThread;
+  options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
+  options.sched.seed = c.seed;
   // Cycle the wildcard policies so every candidate-vector consumer runs.
   switch (c.seed % 3) {
     case 0: options.policy = mpism::PolicyKind::kLowestSource; break;
@@ -491,11 +493,11 @@ mpism::RunOptions case_options(const ProgramCase& c) {
   return options;
 }
 
-// Thread-scheduler programs: match order is host-timing-dependent, so
-// only schedule-independent invariants are checked — every run completes
-// cleanly and sends exactly the scripted messages. (Also the TSan
-// workout for the matcher: label `match` is in the tier-1 sanitizer
-// sweep.)
+// Randomized programs, each under its own coop-random dispatch seed:
+// match order depends on the seed, so only schedule-independent
+// invariants are checked — every run completes cleanly and sends exactly
+// the scripted messages. (Also the TSan workout for the matcher: label
+// `match` is in the tier-1 sanitizer sweep.)
 TEST(MatchDifferentialPrograms, ThreadSchedulerInvariantsAgree) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     ProgramCase c;
@@ -520,9 +522,8 @@ TEST(MatchDifferentialPrograms, ThreadSchedulerInvariantsAgree) {
   }
 }
 
-// Deadlock verdicts: simple_deadlock deadlocks under both schedulers,
-// and under coop a rerun reproduces the whole report (detail text
-// included) bit for bit.
+// Deadlock verdicts: simple_deadlock deadlocks, and a rerun reproduces
+// the whole report (detail text included) bit for bit.
 TEST(MatchDifferentialPrograms, DeadlockVerdictParity) {
   struct Pattern {
     const char* name;
@@ -535,35 +536,22 @@ TEST(MatchDifferentialPrograms, DeadlockVerdictParity) {
        workloads::wildcard_dependent_deadlock, 3},
   };
   for (const auto& pat : patterns) {
-    for (const auto sched_kind : {mpism::SchedulerKind::kThread,
-                                  mpism::SchedulerKind::kCoop}) {
-      if (sched_kind == mpism::SchedulerKind::kCoop &&
-          !mpism::coop_supported()) {
-        continue;
+    std::optional<std::string> first_fp;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      mpism::RunOptions options;
+      options.nprocs = pat.nprocs;
+      // Fifo-arrival, so the wildcard pattern's verdict depends only on
+      // arrival order, which the dispatcher fixes.
+      options.policy = mpism::PolicyKind::kFifoArrival;
+      const auto report = run_program(options, pat.fn);
+      if (std::string(pat.name) == "simple_deadlock") {
+        EXPECT_TRUE(report.deadlocked) << pat.name << " run " << attempt;
       }
-      std::optional<std::string> coop_fp;
-      for (int attempt = 0; attempt < 2; ++attempt) {
-        mpism::RunOptions options;
-        options.nprocs = pat.nprocs;
-        options.sched.kind = sched_kind;
-        // Lowest-source steers wildcard_dependent_deadlock down the
-        // benign path deterministically... except simple_deadlock has no
-        // wildcard at all; both must deadlock under either policy. Use
-        // fifo-arrival so the wildcard pattern's verdict depends only on
-        // arrival order, which coop fixes.
-        options.policy = mpism::PolicyKind::kFifoArrival;
-        const auto report = run_program(options, pat.fn);
-        if (std::string(pat.name) == "simple_deadlock") {
-          EXPECT_TRUE(report.deadlocked) << pat.name << " run " << attempt;
-        }
-        if (sched_kind == mpism::SchedulerKind::kCoop) {
-          const std::string fp = fingerprint(report);
-          if (!coop_fp.has_value()) {
-            coop_fp = fp;
-          } else {
-            EXPECT_EQ(fp, *coop_fp) << pat.name << ": coop rerun diverged";
-          }
-        }
+      const std::string fp = fingerprint(report);
+      if (!first_fp.has_value()) {
+        first_fp = fp;
+      } else {
+        EXPECT_EQ(fp, *first_fp) << pat.name << ": rerun diverged";
       }
     }
   }

@@ -134,19 +134,10 @@ TEST(Deadlock, WaitanyWithUnsatisfiableRequestsDeadlocks) {
 // The deadlock text names every blocked rank and what it waits in, one
 // line each, in rank order. Pinned verbatim for each kind of block —
 // a receive, a synchronous send, waitany, a blocking probe and a
-// collective — under both schedulers, so a change to how the engine
-// keeps a rank's block site cannot alter the report.
-class DeadlockDetailTest
-    : public ::testing::TestWithParam<mpism::SchedulerKind> {};
-
-TEST_P(DeadlockDetailTest, GoldenTextForEveryBlockKind) {
-  if (GetParam() == mpism::SchedulerKind::kCoop && !mpism::coop_supported()) {
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)";
-  }
-  RunOptions opts;
-  opts.nprocs = 6;
-  opts.sched.kind = GetParam();
-  auto report = run_program(opts, [](Proc& p) {
+// collective — so a change to how the engine keeps a rank's block site
+// cannot alter the report.
+TEST(DeadlockDetail, GoldenTextForEveryBlockKind) {
+  auto report = run_program(6, [](Proc& p) {
     const mpism::CommId dup = p.comm_dup();
     p.barrier(dup);
     switch (p.rank()) {
@@ -178,17 +169,6 @@ TEST_P(DeadlockDetailTest, GoldenTextForEveryBlockKind) {
             "rank 4 blocked in collective barrier comm=1 gen=1\n"
             "rank 5 blocked in collective barrier comm=1 gen=1\n");
 }
-
-INSTANTIATE_TEST_SUITE_P(Schedulers, DeadlockDetailTest,
-                         ::testing::Values(mpism::SchedulerKind::kThread,
-                                           mpism::SchedulerKind::kCoop),
-                         [](const auto& param_info) {
-                           return std::string(
-                               param_info.param ==
-                                       mpism::SchedulerKind::kThread
-                                   ? "Thread"
-                                   : "Coop");
-                         });
 
 // Scale sweep: deadlock detection stays exact with many ranks blocked in
 // mixed states (collective + receive).

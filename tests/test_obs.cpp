@@ -12,6 +12,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
 #include "workloads/patterns.hpp"
 
@@ -208,6 +209,20 @@ TEST(Metrics, CountersAccumulateAcrossThreads) {
   EXPECT_EQ(counter.value(), 800000u);
   counter.reset();
   EXPECT_EQ(counter.value(), 0u);
+}
+
+// A default run executes its ranks as coop fibers in every build,
+// AddressSanitizer and ThreadSanitizer builds included: the scheduler
+// counts the run and its fiber switches.
+TEST(Metrics, DefaultRunCountsCoopRunsInEveryBuild) {
+  auto& reg = obs::Registry::instance();
+  reg.reset();
+  const auto report = run_program(
+      4, [](mpism::Proc& p) { workloads::fan_in_rounds(p, 2); });
+  ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+  EXPECT_EQ(reg.counter("scheduler.coop_runs").value(), 1u);
+  EXPECT_GT(reg.counter("scheduler.switches").value(), 0u);
+  reg.reset();
 }
 
 TEST(Metrics, GaugeTracksLevelAndHighWater) {

@@ -12,7 +12,8 @@
 //  - commutation property: for randomized programs, every pair the
 //    relation calls independent really commutes — forcing both flips in
 //    either schedule-construction order yields bit-identical reports;
-//  - a 64-seed differential (thread|coop, vector clocks) and one over
+//  - a 64-seed differential (round-robin and coop-random dispatch,
+//    vector clocks) and one over
 //    the named fixtures (fig3, fig3-benign, fig4, the wildcard-dependent
 //    deadlock, fan-in-groups, a budgeted matmult): same bug set, same
 //    per-epoch outcome sets, never more interleavings than --por off;
@@ -20,6 +21,7 @@
 //    frames (the kill/resume exactness surface).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -49,7 +51,6 @@ using core::ExplorerOptions;
 using core::PorMode;
 using core::Schedule;
 using dampi::strfmt;
-using mpism::SchedulerKind;
 
 /// Every deterministic field of a RunReport, doubles in %a hex form
 /// (wall_seconds is excluded by design — it is the one
@@ -252,12 +253,101 @@ TEST(Por, AllPairsChurnPrunesNothing) {
 }
 
 // ---------------------------------------------------------------------
+// Joint outcomes of dependent decisions. The differentials above compare
+// per-epoch outcome sets, which survive over-pruning: a walk that drops
+// a joint schedule of two dependent decisions can still show each
+// decision taking each of its sources somewhere. Sleep sets may only
+// drop joint schedules of commuting decisions, so for every pair with a
+// receiver-involvement dependency the set of (src_a, src_b) outcomes
+// reached together must be the same with and without pruning.
+
+/// Ranks 0 and 1 each take two wildcard receives; rank 0 forwards to
+/// rank 1 after its first one, so rank 1's decisions may bind a send
+/// from rank 0 and depend on rank 0's outcome. Ranks 4..6 are an
+/// unrelated fan-in whose decisions commute with the rest, so the sleep
+/// walk does prune.
+void receiver_involvement(mpism::Proc& p) {
+  using mpism::kAnySource;
+  using mpism::pack;
+  switch (p.rank()) {
+    case 0: {
+      const mpism::Status first = p.recv(kAnySource, 0);
+      p.send(1, 0, pack<int>(first.source));
+      p.recv(kAnySource, 0);
+      break;
+    }
+    case 1:
+    case 4:
+      p.recv(kAnySource, 0);
+      p.recv(kAnySource, 0);
+      break;
+    case 3:
+      p.send(0, 0, pack<int>(3));
+      p.send(1, 0, pack<int>(3));
+      break;
+    case 2:
+      p.send(0, 0, pack<int>(2));
+      break;
+    default:
+      p.send(4, 0, pack<int>(p.rank()));
+      break;
+  }
+}
+
+using JointOutcomes =
+    std::map<std::pair<EpochKey, EpochKey>, std::set<std::pair<int, int>>>;
+
+/// Every (src_a, src_b) pair the walk reached for decisions a, b on
+/// different ranks where one may bind a send from the other's rank.
+JointOutcomes receiver_involved_joint_outcomes(
+    const ExplorerOptions& options, const mpism::ProgramFn& program,
+    core::ExploreResult* result) {
+  JointOutcomes joint;
+  *result = Explorer(options).explore(
+      program, [&joint](const core::RunTrace& trace, const mpism::RunReport&,
+                        const Schedule&) {
+        for (const auto& a : trace.epochs) {
+          for (const auto& b : trace.epochs) {
+            if (a.key.rank >= b.key.rank || a.matched_src_world < 0 ||
+                b.matched_src_world < 0) {
+              continue;
+            }
+            const DecisionFootprint fa = core::epoch_footprint(a);
+            const DecisionFootprint fb = core::epoch_footprint(b);
+            const auto binds = [](const DecisionFootprint& f, int rank) {
+              return std::count(f.candidates.begin(), f.candidates.end(),
+                                rank) != 0;
+            };
+            if (!binds(fa, fb.rank) && !binds(fb, fa.rank)) continue;
+            EXPECT_FALSE(core::independent(fa, fb))
+                << "receiver-involved pair called independent";
+            joint[{a.key, b.key}].insert(
+                {a.matched_src_world, b.matched_src_world});
+          }
+        }
+      });
+  return joint;
+}
+
+TEST(Por, SleepKeepsJointOutcomesOfDependentDecisions) {
+  core::ExploreResult off;
+  core::ExploreResult sleep;
+  const JointOutcomes off_joint = receiver_involved_joint_outcomes(
+      vector_options(7, PorMode::kOff), receiver_involvement, &off);
+  const JointOutcomes sleep_joint = receiver_involved_joint_outcomes(
+      vector_options(7, PorMode::kSleep), receiver_involvement, &sleep);
+  ASSERT_FALSE(off_joint.empty());  // the fixture has dependent pairs
+  EXPECT_EQ(sleep_joint, off_joint);
+  EXPECT_GT(sleep.por_pruned, 0u);  // ...and commuting ones to prune
+  EXPECT_LT(sleep.interleavings, off.interleavings);
+}
+
+// ---------------------------------------------------------------------
 // Commutation property: pairs the relation calls independent really do
 // commute — forcing both flips is feasible and the result does not
 // depend on the order the schedule was assembled in.
 
 TEST(Por, IndependentPairsCommuteOnRandomPrograms) {
-  SKIP_WITHOUT_COOP();
   // Random soups on few ranks are all-dependent (every candidate set
   // overlaps), so the sweep mixes wider random programs with the
   // disjoint-groups fixture that is guaranteed to contain commuting
@@ -287,7 +377,6 @@ TEST(Por, IndependentPairsCommuteOnRandomPrograms) {
     const std::size_t seed = pi;  // for failure messages
 
     ExplorerOptions options = vector_options(nprocs, PorMode::kOff);
-    options.sched.kind = SchedulerKind::kCoop;
     const auto self = run_dampi_once(options, Schedule{}, program);
 
     for (std::size_t i = 0; i < self.trace.epochs.size(); ++i) {
@@ -332,21 +421,21 @@ TEST(Por, IndependentPairsCommuteOnRandomPrograms) {
 
 // ---------------------------------------------------------------------
 // 64-seed differential: --por sleep ≡ --por off on bug sets and
-// per-epoch outcome sets, never with more interleavings, across both
-// schedulers under vector clocks (the mode where pruning actually
-// fires).
+// per-epoch outcome sets, never with more interleavings, under
+// round-robin and seeded-random dispatch with vector clocks (the mode
+// where pruning actually fires).
 
 TEST(Por, DifferentialSleepEqualsOffAcrossSchedAndMatch) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    const bool coop = (seed % 2) == 1;
-    if (coop && !mpism::coop_supported()) continue;
     const int nprocs = 3 + static_cast<int>(seed % 2);
     const GeneratedProgram prog = generate_program(seed, nprocs, 5);
     const auto program = [&prog](mpism::Proc& p) { run_generated(p, prog); };
 
     ExplorerOptions off_options = vector_options(nprocs, PorMode::kOff);
-    off_options.sched.kind =
-        coop ? SchedulerKind::kCoop : SchedulerKind::kThread;
+    if (seed % 2 == 0) {
+      off_options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
+      off_options.sched.seed = seed;
+    }
     expect_sleep_equals_off(
         off_options, program,
         strfmt("seed %llu", static_cast<unsigned long long>(seed)));
@@ -354,11 +443,9 @@ TEST(Por, DifferentialSleepEqualsOffAcrossSchedAndMatch) {
 }
 
 // The named fixtures the verification suites explore, under vector
-// clocks: sleep ≡ off on each. Both walks start from one pinned
-// discovery root, so they compare like for like where coop falls back to
-// racing OS threads (sanitizer builds). matmult's walk is cut by an
-// interleaving budget; a budgeted walk's outcome sets depend on which
-// runs fit, so that entry needs coop's deterministic replays.
+// clocks: sleep ≡ off on each. matmult's walk is cut by an interleaving
+// budget; a budgeted walk's outcome sets depend on which runs fit, which
+// the deterministic replays fix.
 TEST(Por, DifferentialSleepEqualsOffOnNamedFixtures) {
   workloads::MatmultConfig matmult;
   matmult.chunk_rows = 1;  // 8 chunks over 2 workers: a 128-run walk
@@ -381,15 +468,8 @@ TEST(Por, DifferentialSleepEqualsOffOnNamedFixtures) {
        [matmult](mpism::Proc& p) { workloads::matmult(p, matmult); }},
   };
   for (const auto& fixture : fixtures) {
-    if (fixture.budget != 0 && !mpism::coop_supported()) continue;
     ExplorerOptions off_options = vector_options(fixture.nprocs, PorMode::kOff);
     if (fixture.budget != 0) off_options.max_interleavings = fixture.budget;
-    const auto root = run_dampi_once(off_options, Schedule{}, fixture.program);
-    for (const auto& e : root.trace.epochs) {
-      if (e.matched_src_world >= 0) {
-        off_options.initial_schedule.forced[e.key] = e.matched_src_world;
-      }
-    }
     expect_sleep_equals_off(off_options, fixture.program, fixture.name);
   }
 }

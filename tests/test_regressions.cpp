@@ -1,8 +1,9 @@
 // Regression tests for concurrency bugs found and fixed during
 // development. Each of these was originally a sub-1% flake between
-// racing OS-thread ranks, so every test pins the thread scheduler (the
-// coop default would make each loop one deterministic run repeated) and
-// hammers its scenario in a loop.
+// racing OS-thread ranks, so every test hammers its scenario in a loop,
+// each iteration under its own coop-random dispatch seed (the
+// round-robin default would make each loop one deterministic run
+// repeated) — the native match order still varies from run to run.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -17,47 +18,24 @@
 namespace dampi::test {
 namespace {
 
-using mpism::Bytes;
 using mpism::pack;
-using mpism::unpack;
 
-core::ExplorerOptions thread_explorer_options(int nprocs) {
+core::ExplorerOptions seeded_explorer_options(int nprocs, int seed) {
   core::ExplorerOptions options = explorer_options(nprocs);
-  options.sched.kind = mpism::SchedulerKind::kThread;
+  options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
+  options.sched.seed = static_cast<std::uint64_t>(seed);
   return options;
-}
-
-// Regression: the deadlock detector once declared a deadlock when the
-// last runner finished while another rank was satisfied but not yet
-// woken (its request had completed but the thread had not re-acquired
-// the lock). The fix re-evaluates every blocked rank's wake predicate at
-// declaration time.
-TEST(Regression, NoFalseDeadlockOnSatisfiedButUnwokenRank) {
-  RunOptions options;
-  options.nprocs = 2;
-  options.sched.kind = mpism::SchedulerKind::kThread;
-  for (int i = 0; i < 300; ++i) {
-    auto report = run_program(options, [](Proc& p) {
-      const int other = 1 - p.rank();
-      p.send(other, 1, pack<int>(p.rank()));
-      Bytes data;
-      p.recv(other, 1, &data);
-      EXPECT_EQ(unpack<int>(data), other);
-    });
-    ASSERT_TRUE(report.ok()) << "iteration " << i << ": "
-                             << report.deadlock_detail;
-  }
 }
 
 // Regression: the telepathic transport once raced — a receiver could
 // complete and look up the sender's clock before the sender's
 // post-injection hook deposited it, silently losing the potential match
 // (ISP then missed the wildcard-dependent deadlock ~1 run in 50). The
-// fix blocks take() until the deposit.
+// fix deposits before the sender can yield, and take() checks it.
 TEST(Regression, TelepathicTransportNeverLosesClocks) {
   for (int i = 0; i < 120; ++i) {
     isp::IspOptions options;
-    options.explorer = thread_explorer_options(3);
+    options.explorer = seeded_explorer_options(3, i);
     options.measure_native = false;
     isp::IspVerifier verifier(options);
     const auto result = verifier.verify(workloads::wildcard_dependent_deadlock);
@@ -73,7 +51,7 @@ TEST(Regression, PrefixAlternativesMergedAcrossRuns) {
   // fig4 under vector clocks must reach all three outcomes from *either*
   // initial outcome; repeat to cover both initial timings.
   for (int i = 0; i < 60; ++i) {
-    core::ExplorerOptions options = thread_explorer_options(4);
+    core::ExplorerOptions options = seeded_explorer_options(4, i);
     options.clock_mode = core::ClockMode::kVector;
     std::set<OutcomeSignature> seen;
     core::Explorer explorer(options);
@@ -93,7 +71,7 @@ TEST(Regression, PrefixAlternativesMergedAcrossRuns) {
 // analysis.
 TEST(Regression, UnreceivedCompetitorAlwaysAnalyzed) {
   for (int i = 0; i < 120; ++i) {
-    core::ExplorerOptions options = thread_explorer_options(3);
+    core::ExplorerOptions options = seeded_explorer_options(3, i);
     core::Explorer explorer(options);
     const auto result = explorer.explore(workloads::fig3_wildcard_bug);
     ASSERT_TRUE(result.found_bug()) << "iteration " << i;
@@ -112,7 +90,7 @@ TEST(Regression, UnreceivedCompetitorAlwaysAnalyzed) {
 // is bit-identical on every repetition and strictly incomplete, while
 // vector clocks reach every outcome from the same root.
 TEST(Regression, Fig4ExplorationDeterministicFromPinnedRoot) {
-  core::ExplorerOptions vec_options = thread_explorer_options(4);
+  core::ExplorerOptions vec_options = explorer_options(4);
   vec_options.clock_mode = core::ClockMode::kVector;
   ReferenceEnumerator oracle(vec_options, workloads::fig4_cross_coupled);
   const auto reachable = oracle.enumerate();
@@ -124,7 +102,7 @@ TEST(Regression, Fig4ExplorationDeterministicFromPinnedRoot) {
 
   std::optional<std::set<OutcomeSignature>> lam_first;
   for (int i = 0; i < 60; ++i) {
-    core::ExplorerOptions options = thread_explorer_options(4);
+    core::ExplorerOptions options = seeded_explorer_options(4, i);
     options.clock_mode = core::ClockMode::kLamport;
     options.initial_schedule = canonical_first_run;
     const auto explored =
@@ -136,7 +114,8 @@ TEST(Regression, Fig4ExplorationDeterministicFromPinnedRoot) {
     } else {
       ASSERT_EQ(explored, *lam_first) << "iteration " << i;
     }
-    core::ExplorerOptions vec_pinned = vec_options;
+    core::ExplorerOptions vec_pinned = seeded_explorer_options(4, i);
+    vec_pinned.clock_mode = core::ClockMode::kVector;
     vec_pinned.initial_schedule = canonical_first_run;
     ASSERT_EQ(explored_outcomes(vec_pinned, workloads::fig4_cross_coupled),
               reachable)
@@ -145,11 +124,11 @@ TEST(Regression, Fig4ExplorationDeterministicFromPinnedRoot) {
 }
 
 // Regression: a deterministic program must always be exactly one
-// interleaving, whatever the thread timing (checks that raw tool traffic
+// interleaving, whatever the dispatch order (checks that raw tool traffic
 // and the finalize barrier never masquerade as ND events).
 TEST(Regression, DeterministicProgramsStayDeterministic) {
   for (int i = 0; i < 100; ++i) {
-    core::ExplorerOptions options = thread_explorer_options(4);
+    core::ExplorerOptions options = seeded_explorer_options(4, i);
     core::Explorer explorer(options);
     const auto result = explorer.explore([](Proc& p) {
       const int next = (p.rank() + 1) % p.size();

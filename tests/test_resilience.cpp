@@ -46,10 +46,10 @@ std::string temp_path(const char* name) {
 
 // --- Engine watchdogs ------------------------------------------------------
 
-TEST(Watchdog, WallDeadlineKillsLivelockUnderThreadSched) {
+TEST(Watchdog, WallDeadlineKillsLivelockUnderCoopSched) {
   RunOptions opts;
   opts.nprocs = 2;
-  opts.sched = sched_named("thread");
+  opts.sched = sched_named("coop");
   opts.max_run_wall_seconds = 0.5;
   const auto report = run_program(std::move(opts), workloads::livelock);
   EXPECT_TRUE(report.timed_out);
@@ -58,18 +58,6 @@ TEST(Watchdog, WallDeadlineKillsLivelockUnderThreadSched) {
   EXPECT_FALSE(report.cancelled);
   EXPECT_NE(report.stop_reason.find("wall deadline"), std::string::npos)
       << report.stop_reason;
-}
-
-TEST(Watchdog, WallDeadlineKillsLivelockUnderCoopSched) {
-  SKIP_WITHOUT_COOP();
-  RunOptions opts;
-  opts.nprocs = 2;
-  opts.sched = sched_named("coop");
-  opts.max_run_wall_seconds = 0.5;
-  const auto report = run_program(std::move(opts), workloads::livelock);
-  EXPECT_TRUE(report.timed_out);
-  EXPECT_FALSE(report.completed);
-  EXPECT_NE(report.stop_reason.find("wall deadline"), std::string::npos);
 }
 
 TEST(Watchdog, OpBudgetExpires) {
@@ -276,11 +264,9 @@ TEST(ExplorerResilience, LivelockBecomesAHangVerdictUnderEveryConfig) {
     const char* sched;
     int jobs;
   };
-  for (const Config& config : {Config{"thread", 1}, Config{"thread", 4},
-                               Config{"coop", 1}, Config{"coop", 4}}) {
-    if (std::string(config.sched) == "coop" && !mpism::coop_supported()) {
-      continue;
-    }
+  for (const Config& config :
+       {Config{"coop", 1}, Config{"coop", 4}, Config{"coop-random", 1},
+        Config{"coop-random", 4}}) {
     ExplorerOptions options = explorer_options(2);
     options.sched = sched_named(config.sched);
     options.jobs = config.jobs;
@@ -345,7 +331,6 @@ TEST(ExplorerResilience, RetriesDoNotChangeTheOutcomeSet) {
   // still-failing subtree root is quarantined. Pinned to the coop
   // scheduler so the discovery run (and hence which interleaving fails)
   // is deterministic.
-  SKIP_WITHOUT_COOP();
   ExplorerOptions options = explorer_options(3);
   options.sched = sched_named("coop");
   const ExploreResult baseline =
@@ -756,7 +741,6 @@ TEST(Checkpoint, NumbersParseWithStreamExtractionRules) {
 }
 
 TEST(Checkpoint, KillAtKThenResumeMatchesTheUninterruptedWalk) {
-  SKIP_WITHOUT_COOP();  // pin the deterministic scheduler for equality
   auto base_options = [] {
     ExplorerOptions options = explorer_options(3);
     options.sched = sched_named("coop");
@@ -805,7 +789,6 @@ TEST(Checkpoint, KillAtKThenResumeMatchesTheUninterruptedWalk) {
 }
 
 TEST(Checkpoint, ResumeFindsABugTheInterruptedWalkHadNotReached) {
-  SKIP_WITHOUT_COOP();
   auto base_options = [] {
     ExplorerOptions options = explorer_options(3);
     options.sched = sched_named("coop");

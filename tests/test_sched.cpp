@@ -1,12 +1,12 @@
 // The cooperative run-to-block scheduler (ctest label `sched`):
 //
-//  - determinism: under --sched=coop the RunReport and the full
-//    exploration result are bit-identical across repetitions and across
-//    every replay-pool width, with no initial_schedule pinning;
+//  - determinism: the RunReport and the full exploration result are
+//    bit-identical across repetitions and across every replay-pool
+//    width, with no initial_schedule pinning;
 //  - differential: every coop policy (round-robin, seeded-random,
-//    seeded-priority) and the thread scheduler visit the same *outcome
-//    set* on the paper's Fig. 3 / Fig. 4 patterns, all equal to the
-//    brute-force reachability oracle;
+//    seeded-priority) visits the same *outcome set* on the paper's
+//    Fig. 3 / Fig. 4 patterns, equal to the brute-force reachability
+//    oracle;
 //  - deadlock: the scheduler's stall scan reports genuine deadlocks and
 //    never flags a runnable-but-unscheduled rank at large nprocs;
 //  - scale: a 512-rank wavefront verification completes on one host
@@ -44,15 +44,8 @@ mpism::SchedOptions coop(
     mpism::SchedPolicy pick = mpism::SchedPolicy::kRoundRobin,
     std::uint64_t seed = 1) {
   mpism::SchedOptions sched;
-  sched.kind = mpism::SchedulerKind::kCoop;
   sched.pick = pick;
   sched.seed = seed;
-  return sched;
-}
-
-mpism::SchedOptions thread_sched() {
-  mpism::SchedOptions sched;
-  sched.kind = mpism::SchedulerKind::kThread;
   return sched;
 }
 
@@ -170,7 +163,7 @@ std::string trace_digest(const core::RunTrace& trace) {
 
 TEST(SchedSpec, ParseAndFormatRoundTrip) {
   for (const char* spec :
-       {"thread", "coop", "coop-rr", "coop-random", "coop-priority"}) {
+       {"coop", "coop-rr", "coop-random", "coop-priority"}) {
     mpism::SchedOptions options;
     ASSERT_TRUE(mpism::parse_sched_spec(spec, &options)) << spec;
     // "coop" is shorthand for round-robin; it formats canonically.
@@ -180,23 +173,23 @@ TEST(SchedSpec, ParseAndFormatRoundTrip) {
     // Round trip: parse(format(x)) == x.
     mpism::SchedOptions reparsed;
     ASSERT_TRUE(mpism::parse_sched_spec(mpism::sched_spec(options), &reparsed));
-    EXPECT_EQ(reparsed.kind, options.kind);
     EXPECT_EQ(reparsed.pick, options.pick);
   }
   mpism::SchedOptions untouched;
   untouched.seed = 99;
   EXPECT_FALSE(mpism::parse_sched_spec("fifo", &untouched));
+  // The thread-per-rank scheduler is gone; its spec is a parse error.
+  EXPECT_FALSE(mpism::parse_sched_spec("thread", &untouched));
   EXPECT_FALSE(mpism::parse_sched_spec("", &untouched));
   EXPECT_EQ(untouched.seed, 99u);  // failed parse leaves *out alone
 }
 
 // Acceptance bar: same seed => bit-identical RunReport, 100/100, with
 // no initial_schedule pinning anywhere. The wavefront's wildcard
-// receives make this genuinely scheduling-sensitive — under the thread
-// scheduler the match order (and hence message/stat details) may vary
+// receives make this genuinely scheduling-sensitive — under preemptive
+// threads the match order (and hence message/stat details) would vary
 // run to run; under coop it must not.
 TEST(SchedDeterminism, RunReportBitIdentical100x) {
-  SKIP_WITHOUT_COOP();
   const auto program = [](Proc& p) {
     workloads::WavefrontConfig config;
     config.sweeps = 2;
@@ -227,7 +220,6 @@ TEST(SchedDeterminism, RunReportBitIdentical100x) {
 // Observed through a wildcard fan-in: whichever sender the seeded pick
 // order lets arrive first is the one rank 0's first wildcard matches.
 TEST(SchedDeterminism, SeedActuallySteersRandomPolicy) {
-  SKIP_WITHOUT_COOP();
   std::set<int> first_sources;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     int first_src = -1;
@@ -271,7 +263,6 @@ TEST(SchedDeterminism, SeedActuallySteersRandomPolicy) {
 // across repetitions and across every --jobs width under coop, with no
 // pinning. 100 repetitions total, split across pool widths.
 TEST(SchedDeterminism, ExplorationBitIdenticalAcrossJobs100x) {
-  SKIP_WITHOUT_COOP();
   std::optional<std::string> first;
   for (const int jobs : {1, 4}) {
     for (int i = 0; i < 50; ++i) {
@@ -292,12 +283,12 @@ TEST(SchedDeterminism, ExplorationBitIdenticalAcrossJobs100x) {
   }
 }
 
-// Differential: the thread scheduler and every coop policy drive
-// different native match orders but must visit the same outcome *set*,
-// and that set must equal the brute-force reachability oracle (which
-// forces every epoch, so it is scheduler-independent). The seeded
-// policies draw from the whole eligible candidate set, a dispatch path
-// round-robin (which walks cyclically from its cursor) never takes.
+// Differential: the coop policies drive different native match orders
+// but must visit the same outcome *set*, and that set must equal the
+// brute-force reachability oracle (which forces every epoch, so it is
+// scheduler-independent). The seeded policies draw from the whole
+// eligible candidate set, a dispatch path round-robin (which walks
+// cyclically from its cursor) never takes.
 void expect_every_scheduler_reaches(const core::ExplorerOptions& options,
                                     const mpism::ProgramFn& program,
                                     std::size_t reachable_count) {
@@ -305,7 +296,8 @@ void expect_every_scheduler_reaches(const core::ExplorerOptions& options,
   ASSERT_EQ(reachable.size(), reachable_count);
   for (const auto& sched :
        {coop(), coop(mpism::SchedPolicy::kRandomSeeded, 42),
-        coop(mpism::SchedPolicy::kPriority, 7), thread_sched()}) {
+        coop(mpism::SchedPolicy::kPriority, 7),
+        coop(mpism::SchedPolicy::kRandomSeeded, 5)}) {
     core::ExplorerOptions sched_options = options;
     sched_options.sched = sched;
     EXPECT_EQ(explored_outcomes(sched_options, program), reachable)
@@ -314,25 +306,23 @@ void expect_every_scheduler_reaches(const core::ExplorerOptions& options,
 }
 
 TEST(SchedDifferential, CoopThreadOracleAgreeOnFig3) {
-  SKIP_WITHOUT_COOP();
   expect_every_scheduler_reaches(explorer_options(3), workloads::fig3_benign,
                                  2);
 }
 
 TEST(SchedDifferential, CoopThreadOracleAgreeOnFig4VectorClocks) {
-  SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(4);
   options.clock_mode = core::ClockMode::kVector;
   expect_every_scheduler_reaches(options, workloads::fig4_cross_coupled, 3);
 }
 
-// The initial_schedule pin exists because *thread*-scheduled discovery
-// runs race (see Regression.Fig4ExplorationDeterministicFromPinnedRoot).
-// Under coop the pin is optional: pinned and unpinned explorations must
-// agree on the outcome set, and the pin must still be honored exactly
-// when supplied.
+// The initial_schedule pin was introduced for preemptively scheduled
+// discovery runs, which raced (see
+// Regression.Fig4ExplorationDeterministicFromPinnedRoot). Under coop
+// the pin is optional: pinned and unpinned explorations must agree on
+// the outcome set, and the pin must still be honored exactly when
+// supplied.
 TEST(SchedPin, Fig4PinOptionalUnderCoop) {
-  SKIP_WITHOUT_COOP();
   core::Schedule canonical_first_run;
   canonical_first_run.forced[core::EpochKey{1, 0}] = 0;
   canonical_first_run.forced[core::EpochKey{2, 0}] = 3;
@@ -374,7 +364,6 @@ TEST(SchedPin, Fig4PinOptionalUnderCoop) {
 // running rank blocks while hundreds of peers wait for their first
 // dispatch. The scheduler's stall scan must not.
 TEST(SchedDeadlock, NoFalseDeadlockAtLargeNprocs) {
-  SKIP_WITHOUT_COOP();
   // Root blocks in its first wildcard receive while most of the other
   // 127 ranks have not run at all — the false-positive shape.
   const auto report = run_program(
@@ -384,7 +373,6 @@ TEST(SchedDeadlock, NoFalseDeadlockAtLargeNprocs) {
 }
 
 TEST(SchedDeadlock, GenuineDeadlocksStillDetected) {
-  SKIP_WITHOUT_COOP();
   for (const auto& sched :
        {coop(mpism::SchedPolicy::kRoundRobin),
         coop(mpism::SchedPolicy::kRandomSeeded, 3)}) {
@@ -405,10 +393,8 @@ TEST(SchedDeadlock, GenuineDeadlocksStillDetected) {
 }
 
 // Non-blocking polls are yield points: a rank spinning on test() must
-// cede the host or the sender it is waiting for never runs. (The
-// thread scheduler passes trivially — the OS preempts.)
+// cede the host or the sender it is waiting for never runs.
 TEST(SchedYield, TestPollLoopCompletesUnderCoop) {
-  SKIP_WITHOUT_COOP();
   const auto report = run_program(run_options(2, coop()), [](Proc& p) {
     if (p.rank() == 0) {
       const auto req = p.irecv(1, 7);
@@ -433,7 +419,6 @@ TEST(SchedYield, TestPollLoopCompletesUnderCoop) {
 // (jobs=1), so this exercises single-core scheduling at a rank count a
 // thread-per-rank engine would need 512 OS threads for.
 TEST(SchedScale, Wavefront512RankVerificationCompletes) {
-  SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(512);
   options.sched = coop();
   options.max_interleavings = 2;  // discovery + one guided replay
@@ -456,7 +441,6 @@ TEST(SchedScale, Wavefront512RankVerificationCompletes) {
 // records the exact match order a 100+-rank native run produced. A
 // change to the dispatcher's *cost* must leave them untouched.
 TEST(SchedGolden, FanInRounds128RankReport) {
-  SKIP_WITHOUT_COOP();
   const auto report =
       run_program(run_options(128, coop()),
                   [](Proc& p) { workloads::fan_in_rounds(p, 2); });
@@ -467,7 +451,6 @@ TEST(SchedGolden, FanInRounds128RankReport) {
 // The seeded policies draw from the whole eligible set rather than
 // walking from a cursor; their picks are pinned the same way.
 TEST(SchedGolden, Wavefront64RankReportSeededPolicies) {
-  SKIP_WITHOUT_COOP();
   const struct {
     mpism::SchedOptions sched;
     const char* digest;
@@ -517,7 +500,6 @@ void collective_rounds(Proc& p) {
 }
 
 TEST(SchedGolden, CollectiveRounds64RankReport) {
-  SKIP_WITHOUT_COOP();
   const auto report = run_program(run_options(64, coop()), collective_rounds);
   ASSERT_TRUE(report.ok()) << report.deadlock_detail;
   EXPECT_EQ(Digest().text(fingerprint(report)).hex(), "2dfed77da7c8dda3");
@@ -526,7 +508,6 @@ TEST(SchedGolden, CollectiveRounds64RankReport) {
 // The discovery run of a 512-rank one-sweep wavefront under vector
 // clocks: every epoch's key, clocks, outcome and alternatives.
 TEST(SchedGolden, Wavefront512DiscoveryTrace) {
-  SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(512);
   options.sched = coop();
   options.clock_mode = core::ClockMode::kVector;
@@ -546,7 +527,6 @@ TEST(SchedGolden, Wavefront512DiscoveryTrace) {
 // switches (a full scan per dispatch costs hundreds per switch here:
 // the init comm_dup and the finalize barriers wake every rank at once).
 TEST(SchedCost, WakeProbesBoundedBySwitchesAt512Ranks) {
-  SKIP_WITHOUT_COOP();
   auto& registry = obs::Registry::instance();
   obs::Counter& switches = registry.counter("scheduler.switches");
   obs::Counter& probes = registry.counter("scheduler.wake_probes");
@@ -571,7 +551,6 @@ TEST(SchedCost, WakeProbesBoundedBySwitchesAt512Ranks) {
 // a fresh thread allocates one stack per rank, and a second run on the
 // same thread takes all of them from that thread's cache.
 TEST(SchedCost, SecondRunOnAThreadAllocatesNoFiberStacks) {
-  SKIP_WITHOUT_COOP();
   obs::Counter& stacks =
       obs::Registry::instance().counter("scheduler.stacks_allocated");
   RunOptions opts;

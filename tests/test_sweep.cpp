@@ -93,7 +93,6 @@ TEST(SweepTypes, KindsParseAndFormatCanonically) {
 // --- Inventory harvest -----------------------------------------------------
 
 TEST(SweepInventory, HarvestIsDeterministicUnderCoop) {
-  SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(3);
   options.sched = sched_named("coop");
   const OpInventory a = sweep::harvest_inventory(options, workloads::fig3_benign);
@@ -459,7 +458,6 @@ TEST(Sweep, RejectsAPreInstalledFaultPlanAndBadResume) {
 }
 
 TEST(Sweep, AbortPointsSurfaceAndDelayPointsAreMasked) {
-  SKIP_WITHOUT_COOP();
   SweepOptions options = sweep_options(3, "fig3-benign");
   options.budget = 64;
   options.kinds = SweepKinds{true, false, true, false};  // abort + delay
@@ -496,7 +494,6 @@ TEST(Sweep, AbortPointsSurfaceAndDelayPointsAreMasked) {
 }
 
 TEST(Sweep, DeadlockVerdictsRaiseTheBugExitCode) {
-  SKIP_WITHOUT_COOP();
   // The fixture deadlocks only under one wildcard outcome; campaigns
   // replay the full interleaving space, so the deadlock surfaces in the
   // matrix and the sweep exits 1 (crash-tolerance bug found).
@@ -517,7 +514,6 @@ TEST(Sweep, DeadlockVerdictsRaiseTheBugExitCode) {
 }
 
 TEST(Sweep, FlakyPointsAreHealedByTheRetryPath) {
-  SKIP_WITHOUT_COOP();
   SweepOptions options = sweep_options(3, "fig3-benign");
   options.kinds = SweepKinds{false, false, false, true};  // flaky only
   options.flaky_samples = 4;
@@ -535,7 +531,6 @@ TEST(Sweep, FlakyPointsAreHealedByTheRetryPath) {
 }
 
 TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
-  SKIP_WITHOUT_COOP();
   SweepOptions options = sweep_options(3, "fig3-benign");
   options.budget = 24;
   options.seed = 7;
@@ -556,7 +551,6 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
 }
 
 TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
-  SKIP_WITHOUT_COOP();
   const std::string journal_path = temp_path("kill_resume");
   std::remove(journal_path.c_str());
 
@@ -617,7 +611,6 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
 }
 
 TEST(Sweep, ResumeRefusesAJournalFromADifferentSweep) {
-  SKIP_WITHOUT_COOP();
   const std::string journal_path = temp_path("foreign");
   std::remove(journal_path.c_str());
 
@@ -638,7 +631,6 @@ TEST(Sweep, ResumeRefusesAJournalFromADifferentSweep) {
 }
 
 TEST(Sweep, SummaryCarriesTheMatrixAndTheResumeAccounting) {
-  SKIP_WITHOUT_COOP();
   SweepOptions options = sweep_options(3, "fig3-benign");
   options.budget = 8;
   const SweepResult result = sweep::run_sweep(options, workloads::fig3_benign);
