@@ -16,8 +16,9 @@
 # worker-count determinism check), then the sanitizer stages: the full
 # suite under AddressSanitizer (-DDAMPI_SANITIZE=address) and the
 # concurrent tests under ThreadSanitizer (-DDAMPI_SANITIZE=thread; only
-# the `concurrency`/`obs`/`match`/`por`/`sweep` labelled tests rerun
-# there, so the TSan stage stays fast). Both sanitizers run the same
+# the `concurrency`/`obs`/`match`/`por`/`sweep`/`resil` labelled tests
+# rerun there, so the TSan stage stays fast; `resil` brings the tests
+# that fire a CancelSource from a second thread into a running engine). Both sanitizers run the same
 # coop fibers as every other build: the scheduler annotates each fiber
 # switch for them.
 #
@@ -327,7 +328,7 @@ echo "tier1: AddressSanitizer full-suite stage OK"
 cmake -B build-tsan -S . -DDAMPI_SANITIZE=thread
 cmake --build build-tsan -j "${jobs}" \
   --target test_explorer_parallel test_obs test_match_index \
-           test_engine_lock test_por test_sweep
+           test_engine_stress test_por test_sweep test_resilience
 (cd build-tsan && ctest --output-on-failure \
-  -L 'concurrency|obs|match|por|sweep' -j "${jobs}")
-echo "tier1: OK (including TSan concurrency + obs + match + por + sweep stage)"
+  -L 'concurrency|obs|match|por|sweep|resil' -j "${jobs}")
+echo "tier1: OK (including TSan concurrency + obs + match + por + sweep + resil stage)"

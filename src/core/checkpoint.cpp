@@ -272,19 +272,21 @@ std::string options_fingerprint(const ExplorerOptions& options) {
   if (options.mixing_bound.has_value()) {
     mix = strfmt("%d", *options.mixing_bound);
   }
+  // `unsafe=1` and `policy=0 pseed=1` are constants (the §V monitor is
+  // always on; a wildcard match takes the lowest source). They stay in
+  // the text so journals written by older builds still resume and their
+  // workers still pass the HELLO check.
   std::string fp = strfmt(
-      "nprocs=%d clock=%d transport=%d mix=%s loopabs=%d unsafe=%d "
-      "autoloop=%d defsync=%d sched=%s schedseed=%llu por=%s policy=%d "
-      "pseed=%llu init=%016llx",
+      "nprocs=%d clock=%d transport=%d mix=%s loopabs=%d unsafe=1 "
+      "autoloop=%d defsync=%d sched=%s schedseed=%llu por=%s policy=0 "
+      "pseed=1 init=%016llx",
       options.nprocs, static_cast<int>(options.clock_mode),
       static_cast<int>(options.transport), mix.c_str(),
-      options.loop_abstraction ? 1 : 0, options.unsafe_monitor ? 1 : 0,
-      options.auto_loop_threshold, options.deferred_clock_sync ? 1 : 0,
+      options.loop_abstraction ? 1 : 0, options.auto_loop_threshold,
+      options.deferred_clock_sync ? 1 : 0,
       mpism::sched_spec(options.sched).c_str(),
       static_cast<unsigned long long>(options.sched.seed),
       por_spec(options.por),
-      static_cast<int>(options.policy),
-      static_cast<unsigned long long>(options.policy_seed),
       static_cast<unsigned long long>(hash_schedule(options.initial_schedule)));
   fp += " fault=";
   fp += options.fault ? fault_spec(*options.fault) : "none";

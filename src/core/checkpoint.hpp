@@ -56,8 +56,8 @@ struct Checkpoint {
 };
 
 /// Canonical, human-readable fingerprint of the options that determine
-/// search semantics (nprocs, clocks, mixing, scheduler/matcher/policy
-/// specs + seeds, fault plan, pinned initial schedule, checkpoint_tag).
+/// search semantics (nprocs, clocks, mixing, scheduler spec + seed, POR,
+/// fault plan, pinned initial schedule, checkpoint_tag).
 /// Excludes anything a resume may legitimately change: jobs, budgets,
 /// retry limits, checkpoint knobs.
 std::string options_fingerprint(const ExplorerOptions& options);

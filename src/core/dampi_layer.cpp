@@ -159,7 +159,7 @@ EpochRecord& DampiLayer::record_epoch(mpism::CommId comm, mpism::Tag tag,
 // --- sends -----------------------------------------------------------------
 
 void DampiLayer::pre_isend(mpism::ToolCtx& ctx, mpism::SendCall& call) {
-  if (options_.unsafe_monitor) unsafe_check(ctx, "send");
+  unsafe_check(ctx, "send");
   transmit_clock().serialize_into(&latch_send_clock_);
   DAMPI_TEVENT(obs::EventKind::kPiggybackAttach, obs::Phase::kInstant,
                static_cast<std::int32_t>(latch_send_clock_.size()));
@@ -302,7 +302,7 @@ void DampiLayer::post_probe(mpism::ToolCtx& ctx, const mpism::ProbeCall& call,
 // --- collectives ------------------------------------------------------------
 
 void DampiLayer::pre_collective(mpism::ToolCtx& ctx, mpism::CollCall& call) {
-  if (options_.unsafe_monitor) unsafe_check(ctx, "collective");
+  unsafe_check(ctx, "collective");
   transmit_clock().serialize_into(&call.pb_contribution);
 }
 

@@ -172,8 +172,6 @@ mpism::RunOptions run_options_for(const ExplorerOptions& options) {
   mpism::RunOptions run_options;
   run_options.nprocs = options.nprocs;
   run_options.cost = options.cost;
-  run_options.policy = options.policy;
-  run_options.policy_seed = options.policy_seed;
   run_options.sched = options.sched;
   run_options.max_run_wall_seconds = options.run_deadline_seconds;
   run_options.max_run_vtime_us = options.max_run_vtime_us;
@@ -713,9 +711,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     flush_checkpoint();
   }
 
-  if (options_.export_frontier || options_.discovery_only) {
-    result.frontier = stack_;
-  }
+  if (options_.discovery_only) result.frontier = stack_;
   stop_watchdog();
   pool.shutdown();
   result.pool = pool.stats();

@@ -175,9 +175,9 @@ struct ExploreResult {
   /// Alternatives revealed for coordinator-owned (escape_alts) frames;
   /// empty outside sharded walks. See EscapedAlt.
   std::vector<EscapedAlt> escaped;
-  /// Final frame stack, exported when ExplorerOptions::export_frontier
-  /// (or discovery_only) is set — the unit of work split_frontier()
-  /// shards across worker processes.
+  /// Final frame stack, exported when ExplorerOptions::discovery_only is
+  /// set — the unit of work split_frontier() shards across worker
+  /// processes.
   std::vector<DfsFrame> frontier;
 
   bool found_bug() const { return !bugs.empty(); }
@@ -193,7 +193,7 @@ struct SingleRun {
 };
 
 /// The runtime knobs every run of a campaign shares, native or
-/// instrumented: size, cost model, policy, scheduler, the per-run
+/// instrumented: size, cost model, scheduler, the per-run
 /// watchdog budgets and cancellation. Callers add the tool layers.
 mpism::RunOptions run_options_for(const ExplorerOptions& options);
 

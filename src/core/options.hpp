@@ -12,8 +12,6 @@
 #include "mpism/cancel.hpp"
 #include "mpism/cost_model.hpp"
 #include "mpism/fault.hpp"
-#include "mpism/match_index.hpp"
-#include "mpism/policy.hpp"
 #include "mpism/scheduler.hpp"
 #include "mpism/tool.hpp"
 #include "piggyback/transport.hpp"
@@ -68,10 +66,6 @@ struct ExplorerOptions {
   /// wildcard epochs inside a bracketed region keep their self-run match
   /// and contribute no alternatives.
   bool loop_abstraction = true;
-
-  /// Dynamic monitor for the paper's §V omission pattern (clock escapes
-  /// between a wildcard Irecv and its Wait/Test).
-  bool unsafe_monitor = true;
 
   /// Future work from §VI, implemented: automatic loop-iteration
   /// detection. After this many *consecutive* ND events with an
@@ -132,9 +126,7 @@ struct ExplorerOptions {
   /// runs included), serialized by the explorer. See RunStats.
   std::function<void(const RunStats&)> run_stats;
 
-  /// Runtime knobs for each run.
-  mpism::PolicyKind policy = mpism::PolicyKind::kLowestSource;
-  std::uint64_t policy_seed = 1;
+  /// Virtual-time cost model of each run.
   mpism::CostModel cost;
 
   /// Virtual-time cost of DAMPI's own bookkeeping, charged by the layer:
@@ -195,14 +187,11 @@ struct ExplorerOptions {
   /// --- Distributed sharding (src/dist/) -----------------------------------
 
   /// Stop after the discovery run (or the resume_from restore): judge the
-  /// first run, extend the frontier once, and return without walking it.
-  /// Implies export_frontier. This is how the campaign coordinator
-  /// obtains the frame stack it shards across worker processes.
+  /// first run, extend the frontier once, and return without walking it,
+  /// with the frame stack in ExploreResult::frontier. This is how the
+  /// campaign coordinator obtains the frame stack it shards across worker
+  /// processes.
   bool discovery_only = false;
-
-  /// Copy the final frame stack into ExploreResult::frontier at every
-  /// walk exit (cheap; off by default because the stack can be large).
-  bool export_frontier = false;
 
   /// Invoked the moment an alternative is escaped (instead of recording
   /// it in ExploreResult::escaped), on the exploring thread. A

@@ -25,6 +25,12 @@ namespace dampi::dist {
 
 namespace {
 
+/// A shard survives this many worker deaths before it is quarantined.
+constexpr int kMaxShardRespawns = 2;
+/// A worker slot that keeps dying before completing HELLO (e.g. the
+/// binary fails to exec) aborts the campaign after this many attempts.
+constexpr int kMaxSpawnFailures = 3;
+
 struct ShardState {
   std::uint64_t id = 0;
   core::Checkpoint cp;
@@ -243,7 +249,7 @@ DistResult run_distributed(const DistOptions& options,
     ++out.stats.worker_deaths;
     if (!w.hello) {
       ++w.spawn_failures;
-      if (w.spawn_failures >= options.max_spawn_failures) {
+      if (w.spawn_failures >= kMaxSpawnFailures) {
         fatal("worker " + std::to_string(w.id) +
               " repeatedly died before HELLO (bad worker binary or "
               "options?)");
@@ -280,7 +286,7 @@ DistResult run_distributed(const DistOptions& options,
             merge.register_shard_sites(st.cp);
           }
         }
-        if (st.deaths > options.max_shard_respawns) {
+        if (st.deaths > kMaxShardRespawns) {
           merge.quarantine_shard();
           ++out.stats.shards_quarantined;
           shards.erase(it);
@@ -512,7 +518,7 @@ DistResult run_distributed(const DistOptions& options,
         // A path-mode worker that dies before connecting (e.g. execvp
         // failed) has no channel, so the EOF-based death detection can
         // never see it. Account for it here so the slot is respawned
-        // and spawn_failures/max_spawn_failures still apply.
+        // and spawn_failures/kMaxSpawnFailures still apply.
         if (!w.chan) handle_death(w);
       }
     }

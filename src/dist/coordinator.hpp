@@ -35,11 +35,6 @@ struct DistOptions {
   /// filesystem AF_UNIX path the coordinator listens on — workers (or
   /// externally launched ones) connect and identify via HELLO.
   std::string socket_path;
-  /// A shard survives this many worker deaths before it is quarantined.
-  int max_shard_respawns = 2;
-  /// A worker slot that keeps dying before completing HELLO (e.g. the
-  /// binary fails to exec) aborts the campaign after this many attempts.
-  int max_spawn_failures = 3;
   /// After CANCEL/SHUTDOWN, stragglers get this long before SIGKILL.
   double shutdown_grace_seconds = 10.0;
   /// The campaign's search options; must produce the same

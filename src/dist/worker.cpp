@@ -80,7 +80,6 @@ int run_worker(const WorkerConfig& config, const mpism::ProgramFn& program) {
         options.resume_from =
             std::make_shared<const core::Checkpoint>(*std::move(shard));
         options.discovery_only = false;
-        options.export_frontier = false;
 
         // Steal requests arrive on this channel; the explorer polls
         // between runs. Requests landing after the walk ends are

@@ -126,7 +126,6 @@ Engine::Engine(RunOptions options)
     ranks_.push_back(std::make_unique<PerRank>());
   }
   comms_.init(opts_.nprocs);
-  policy_ = make_policy(opts_.policy, opts_.policy_seed);
   stats_.init(opts_.nprocs);
 }
 
@@ -545,12 +544,12 @@ RequestId Engine::do_irecv(Rank r, Rank src_world, Tag tag, CommId comm,
     std::vector<MatchCandidate>& cands = me.cand_buf;
     me.match.wildcard_candidates(tag, comm, &cands);
     if (!cands.empty()) {
-      std::size_t pick = 0;
-      if (cands.size() > 1) pick = policy_->choose(cands);
-      DAMPI_CHECK(pick < cands.size());
+      // SELF_RUN: the lowest eligible source wins (candidates are sorted
+      // by source), the fixed bias of a real MPI library's queue scan.
+      const MatchCandidate& won = cands.front();
       DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
-                   cands[pick].src_world, r, cands[pick].tag);
-      complete_recv(r, rec_ref, me.match.take(cands[pick].msg_id));
+                   won.src_world, r, won.tag);
+      complete_recv(r, rec_ref, me.match.take(won.msg_id));
       return id;
     }
   } else {
@@ -911,9 +910,8 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
       std::vector<MatchCandidate>& cands = pr(r).cand_buf;
       pr(r).match.wildcard_candidates(call.tag, call.comm, &cands);
       DAMPI_CHECK(!cands.empty());
-      std::size_t pick = 0;
-      if (cands.size() > 1) pick = policy_->choose(cands);
-      env = pr(r).match.find_by_id(cands[pick].msg_id);
+      // The message a wildcard receive would take: the lowest source.
+      env = pr(r).match.find_by_id(cands.front().msg_id);
     } else {
       env = pr(r).match.find_specific(src_world, call.tag, call.comm);
     }
@@ -1367,7 +1365,7 @@ bool Engine::raw_iprobe(Rank r, Rank src, Tag tag, CommId comm,
     std::vector<MatchCandidate>& cands = pr(r).cand_buf;
     pr(r).match.wildcard_candidates(tag, comm, &cands);
     if (!cands.empty()) {
-      // Deterministic head (lowest source) — tool drains need no policy.
+      // Lowest source, as for every wildcard match.
       env = pr(r).match.find_by_id(cands.front().msg_id);
     }
   } else {

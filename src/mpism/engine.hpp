@@ -268,7 +268,6 @@ class Engine {
   CoopScheduler sched_;
   std::vector<std::unique_ptr<PerRank>> ranks_;
   CommTable comms_;
-  std::unique_ptr<MatchPolicy> policy_;
   /// Collective bookkeeping.
   std::map<std::pair<CommId, std::uint64_t>, CollSlot> coll_slots_;
   std::uint64_t next_msg_id_ = 1;

@@ -90,8 +90,8 @@ bool linear_has_candidates(const std::deque<Envelope>& q, Tag tag,
 /// One candidate per source: the earliest (arrival order == per-source
 /// send order) compatible message — MPI's non-overtaking rule restricts
 /// a wildcard receive to exactly these heads. Sorted insertion keeps
-/// the by-source ordering the policies rely on without rebuilding a
-/// map per call.
+/// the by-source ordering the engine's lowest-source pick relies on
+/// without rebuilding a map per call.
 void linear_candidates(const std::deque<Envelope>& q, Tag tag, CommId comm,
                        std::vector<MatchCandidate>* out) {
   out->clear();

@@ -16,8 +16,11 @@
 // answers exactly as the original deque walk would — same candidate
 // vectors (sorted by source, earliest message per source), same
 // find_specific winner, same earliest-posted receive from match_posted
-// — because the engine's visible behaviour (wildcard nondeterminism
-// included) is a function of exactly these answers.
+// — because the engine's visible behaviour is a function of exactly
+// these answers. A wildcard receive or probe takes the front candidate
+// (the lowest eligible source: SELF_RUN's runtime bias); the verifier
+// reaches the other candidates by rewriting ANY_SOURCE in its tool
+// layer, never through the runtime.
 //
 // Key invariants the lanes lean on (one rank at a time runs engine code):
 //  - Arrival order within one rank's unexpected queue == msg_id order:
@@ -41,12 +44,20 @@
 #include <vector>
 
 #include "mpism/envelope.hpp"
-#include "mpism/policy.hpp"
 #include "mpism/pool.hpp"
 #include "mpism/request.hpp"
 #include "mpism/types.hpp"
 
 namespace dampi::mpism {
+
+/// One matchable candidate for a wildcard receive/probe: the head (lowest
+/// unmatched seq) message from one source.
+struct MatchCandidate {
+  Rank src_world = -1;
+  Tag tag = kAnyTag;
+  std::uint64_t seq = 0;
+  std::uint64_t msg_id = 0;
+};
 
 /// One rank's matching state: queued unexpected messages (owned) and
 /// pending posted receives (non-owning pointers into the engine's

@@ -7,7 +7,6 @@
 
 #include "mpism/cancel.hpp"
 #include "mpism/cost_model.hpp"
-#include "mpism/policy.hpp"
 #include "mpism/proc.hpp"
 #include "mpism/report.hpp"
 #include "mpism/scheduler.hpp"
@@ -25,10 +24,6 @@ using ProgramFn = std::function<void(Proc&)>;
 struct RunOptions {
   int nprocs = 2;
   CostModel cost;
-  /// How the runtime resolves wildcard matches when several sources are
-  /// eligible (SELF_RUN behaviour).
-  PolicyKind policy = PolicyKind::kLowestSource;
-  std::uint64_t policy_seed = 1;
   /// Which runnable rank fiber advances next (deterministic run-to-block
   /// dispatch; round-robin by default).
   SchedOptions sched;

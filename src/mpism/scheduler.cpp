@@ -78,8 +78,14 @@ namespace {
 // scheduler once every fiber has finished, and the next scheduler run on
 // that thread takes them first. Thread-local, because a scheduler
 // dispatches only on the thread that called run(); bounded, so an idle
-// thread keeps at most kMaxStacks of one size.
+// thread keeps at most kMaxStacks.
 // ---------------------------------------------------------------------------
+
+/// Per-fiber stack size. A stack is allocated lazily on first dispatch,
+/// so unstarted ranks cost nothing, and reused by the next run on the
+/// same thread (`scheduler.stacks_allocated` counts the stacks that were
+/// not).
+constexpr std::size_t kStackBytes = 256 * 1024;
 
 class StackCache {
  public:
@@ -91,32 +97,25 @@ class StackCache {
     return cache;
   }
 
-  /// A stack of `bytes`, or null when none is cached.
-  Stack take(std::size_t bytes) {
-    if (bytes != bytes_ || free_.empty()) return nullptr;
+  /// A cached stack, or null when none is.
+  Stack take() {
+    if (free_.empty()) return nullptr;
     Stack stack = std::move(free_.back());
     free_.pop_back();
     return stack;
   }
 
-  void give(Stack stack, std::size_t bytes) {
+  void give(Stack stack) {
     if (stack == nullptr) return;
 #if defined(DAMPI_FIBER_ASAN)
     // A finished fiber never returns from its outermost frames, so their
     // redzones are still poisoned; the next fiber starts on clean shadow.
-    __asan_unpoison_memory_region(stack.get(), bytes);
+    __asan_unpoison_memory_region(stack.get(), kStackBytes);
 #endif
-    if (bytes != bytes_) {
-      // One size at a time: a run with another stack size replaces the
-      // cached ones.
-      free_.clear();
-      bytes_ = bytes;
-    }
     if (free_.size() < kMaxStacks) free_.push_back(std::move(stack));
   }
 
  private:
-  std::size_t bytes_ = 0;
   std::vector<Stack> free_;
 };
 
@@ -160,7 +159,6 @@ CoopScheduler::CoopScheduler(const SchedOptions& options, int nprocs)
       rng_(options.seed),
       fibers_(static_cast<std::size_t>(nprocs)) {
   DAMPI_CHECK(nprocs > 0);
-  opts_.stack_bytes = std::max<std::size_t>(opts_.stack_bytes, 64 * 1024);
   if (opts_.pick == SchedPolicy::kPriority) {
     // Static per-rank priorities drawn once from the seed; ties are
     // impossible in practice (64-bit draws) but break toward the lower
@@ -224,7 +222,7 @@ void CoopScheduler::run(const Callbacks& cb) {
       f.lane = nullptr;
     }
     // Every fiber has finished and none runs on its stack again.
-    cache.give(std::move(f.stack), opts_.stack_bytes);
+    cache.give(std::move(f.stack));
   }
   static obs::Counter& runs_metric =
       obs::Registry::instance().counter("scheduler.coop_runs");
@@ -371,9 +369,9 @@ void CoopScheduler::dispatch(Rank r) {
 }
 
 void CoopScheduler::prepare_fiber(Fiber& f) {
-  f.stack = StackCache::local().take(opts_.stack_bytes);
+  f.stack = StackCache::local().take();
   if (f.stack == nullptr) {
-    f.stack.reset(new char[opts_.stack_bytes]);
+    f.stack.reset(new char[kStackBytes]);
     ++stacks_allocated_;
   }
   // The context takes the first bytes of the block; the fiber's stack is
@@ -382,7 +380,7 @@ void CoopScheduler::prepare_fiber(Fiber& f) {
   ucontext_t* uc = ::new (static_cast<void*>(f.stack.get())) ucontext_t;
   getcontext(uc);
   uc->uc_stack.ss_sp = f.stack.get() + kCtxBytes;
-  uc->uc_stack.ss_size = opts_.stack_bytes - kCtxBytes;
+  uc->uc_stack.ss_size = kStackBytes - kCtxBytes;
   uc->uc_link = nullptr;  // fiber_main never returns
   f.ctx.uc = uc;
 #if defined(DAMPI_FIBER_ASAN)

@@ -48,11 +48,6 @@ struct SchedOptions {
   SchedulerKind kind = SchedulerKind::kCoop;
   SchedPolicy pick = SchedPolicy::kRoundRobin;
   std::uint64_t seed = 1;
-  /// Per-fiber stack size; allocated lazily on first dispatch, so
-  /// unstarted ranks cost nothing, and reused by the next run on the
-  /// same thread (`scheduler.stacks_allocated` counts the stacks that
-  /// were not).
-  std::size_t stack_bytes = 256 * 1024;
 };
 
 class CoopScheduler {

@@ -53,7 +53,6 @@ OpInventory harvest_inventory(const core::ExplorerOptions& base,
   options.checkpoint_path.clear();
   options.resume_from.reset();
   options.discovery_only = false;
-  options.export_frontier = false;
   options.on_escape = nullptr;
   options.steal_poll = nullptr;
   options.on_steal = nullptr;

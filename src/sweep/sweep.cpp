@@ -33,6 +33,13 @@ std::string point_key(const mpism::FaultPoint& point) {
 /// exposed.
 constexpr const char* kInjectedMarker = "fault injected";
 
+/// Deterministic hang watchdog applied when the base options carry no op
+/// budget of their own: a run exceeding this many engine ops under an
+/// injection is a kHang verdict (livelock), independent of host speed.
+constexpr std::uint64_t kPlanMaxRunOps = 1u << 20;
+/// First backoff of a campaign respawn; doubles per retry.
+constexpr double kRespawnBackoffMs = 10.0;
+
 std::string json_escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -77,12 +84,11 @@ core::ExplorerOptions campaign_options(
   opts.jobs = 1;
   opts.max_interleavings = sweep.plan_max_interleavings;
   opts.max_wall_seconds = sweep.plan_wall_seconds;
-  if (opts.max_run_ops == 0) opts.max_run_ops = sweep.plan_max_run_ops;
+  if (opts.max_run_ops == 0) opts.max_run_ops = kPlanMaxRunOps;
   opts.cancel = std::move(cancel);
   opts.checkpoint_path.clear();
   opts.resume_from.reset();
   opts.discovery_only = false;
-  opts.export_frontier = false;
   opts.on_escape = nullptr;
   opts.steal_poll = nullptr;
   opts.on_steal = nullptr;
@@ -106,6 +112,8 @@ std::string sweep_fingerprint(const SweepOptions& options) {
   base.fault.reset();
   base.checkpoint_tag = options.program_name;
   std::string fp = core::options_fingerprint(base);
+  // `planops` prints the constant kPlanMaxRunOps: the field stays in the
+  // text so sweep journals written by older builds still resume.
   fp += strfmt(
       " sweep budget=%llu seed=%llu kinds=%s delays=%d flakys=%d "
       "planil=%llu planops=%llu",
@@ -114,7 +122,7 @@ std::string sweep_fingerprint(const SweepOptions& options) {
       sweep_kinds_spec(options.kinds).c_str(), options.delay_samples,
       options.flaky_samples,
       static_cast<unsigned long long>(options.plan_max_interleavings),
-      static_cast<unsigned long long>(options.plan_max_run_ops));
+      static_cast<unsigned long long>(kPlanMaxRunOps));
   return fp;
 }
 
@@ -380,7 +388,7 @@ SweepResult run_sweep(const SweepOptions& options,
             core::Explorer explorer(opts);
             return explorer.explore(program);
           },
-          options.max_plan_respawns, options.respawn_backoff_ms, &respawns,
+          options.max_plan_respawns, kRespawnBackoffMs, &respawns,
           &spawn_error);
       if (options.cancel) options.cancel->unsubscribe(subscription);
 

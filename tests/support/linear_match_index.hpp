@@ -17,7 +17,7 @@
 
 #include "common/check.hpp"
 #include "mpism/envelope.hpp"
-#include "mpism/policy.hpp"
+#include "mpism/match_index.hpp"
 #include "mpism/request.hpp"
 #include "mpism/types.hpp"
 

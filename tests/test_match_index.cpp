@@ -9,32 +9,24 @@
 //  - directed non-overtaking properties, checked on both: per-source
 //    FIFO delivery, wildcard candidates == set of lane heads (tool
 //    traffic excluded), earliest-posted-wins across the four posted
-//    lanes;
-//  - seeded programs: schedule-independent invariants of randomized
-//    programs hold under coop-random dispatch (and give TSan a workout
-//    over the lanes);
-//  - deadlock verdicts on the deadlock patterns, reproducible bit for
-//    bit.
+//    lanes.
+//
+// Randomized programs through the whole engine live in
+// tests/test_engine_stress.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/strutil.hpp"
 #include "mpism/match_index.hpp"
 #include "support/linear_match_index.hpp"
-#include "support/run_helpers.hpp"
-#include "workloads/patterns.hpp"
 
 namespace dampi::test {
 namespace {
 
-using dampi::strfmt;
-using mpism::Bytes;
 using mpism::CommId;
 using mpism::Envelope;
 using mpism::kAnySource;
@@ -376,185 +368,6 @@ void check_earliest_posted_wins(const char* what) {
 TEST(MatchIndexProperty, EarliestPostedWinsAcrossLaneShapes) {
   check_earliest_posted_wins<LinearMatchIndex>("oracle");
   check_earliest_posted_wins<MatchIndex>("matcher");
-}
-
-// ---------------------------------------------------------------------
-// Program-level checks: randomized programs through the whole engine.
-
-struct ProgramCase {
-  std::uint64_t seed;
-  int nprocs;
-  int phases;
-  int messages_per_phase;
-};
-
-struct ScriptMessage {
-  int src;
-  int dst;
-  int tag;
-  bool synchronous;
-};
-
-/// Valid-by-construction message soup (receives posted before sends per
-/// phase), same shape as test_engine_fuzz but smaller and with per-rank
-/// probe sprinkling — probes exercise the candidate queries without
-/// consuming messages.
-std::vector<std::vector<ScriptMessage>> build_script(const ProgramCase& c) {
-  Rng rng(c.seed);
-  std::vector<std::vector<ScriptMessage>> phases(
-      static_cast<std::size_t>(c.phases));
-  for (auto& phase : phases) {
-    const int count =
-        1 + static_cast<int>(rng.next_below(
-                static_cast<std::uint64_t>(c.messages_per_phase)));
-    for (int m = 0; m < count; ++m) {
-      ScriptMessage msg;
-      msg.src = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(c.nprocs)));
-      do {
-        msg.dst = static_cast<int>(
-            rng.next_below(static_cast<std::uint64_t>(c.nprocs)));
-      } while (msg.dst == msg.src);
-      msg.tag = static_cast<int>(rng.next_below(3));
-      msg.synchronous = rng.next_bool(0.3);
-      phase.push_back(msg);
-    }
-  }
-  return phases;
-}
-
-void run_script(mpism::Proc& p,
-                const std::vector<std::vector<ScriptMessage>>& script,
-                std::uint64_t seed) {
-  Rng rng(seed ^ 0xabcdef);
-  int phase_index = 0;
-  for (const auto& phase : script) {
-    const bool wildcard_phase = rng.next_bool(0.5);
-    std::vector<RequestId> recvs;
-    for (const ScriptMessage& m : phase) {
-      if (m.dst != p.rank()) continue;
-      recvs.push_back(
-          p.irecv(wildcard_phase ? kAnySource : m.src, kAnyTag));
-    }
-    std::vector<RequestId> sends;
-    for (const ScriptMessage& m : phase) {
-      if (m.src != p.rank()) continue;
-      sends.push_back(m.synchronous
-                          ? p.issend(m.dst, m.tag, pack<int>(m.tag))
-                          : p.isend(m.dst, m.tag, pack<int>(m.tag)));
-    }
-    if (rng.next_bool(0.5)) p.iprobe(kAnySource, kAnyTag);
-    p.waitall(recvs);
-    p.waitall(sends);
-    if (phase_index % 2 == 0) {
-      p.barrier();
-    } else {
-      p.allreduce_u64(1, mpism::ReduceOp::kSumU64);
-    }
-    ++phase_index;
-  }
-}
-
-/// Every deterministic field of a RunReport, doubles in %a hex form (the
-/// test_sched.cpp fingerprint — wall_seconds is excluded by design).
-std::string fingerprint(const mpism::RunReport& r) {
-  std::string s = strfmt(
-      "completed=%d deadlocked=%d vtime=%a comm_leaks=%d req_leaks=%llu "
-      "msgs=%llu tool_msgs=%llu",
-      r.completed ? 1 : 0, r.deadlocked ? 1 : 0, r.vtime_us, r.comm_leaks,
-      static_cast<unsigned long long>(r.request_leaks),
-      static_cast<unsigned long long>(r.messages_sent),
-      static_cast<unsigned long long>(r.stats.tool_messages));
-  s += "\ndeadlock_detail=" + r.deadlock_detail;
-  for (const auto& e : r.errors) {
-    s += strfmt("\nerror rank=%d ", e.rank) + e.message;
-  }
-  for (std::size_t c = 0; c < mpism::OpStats::kNumCategories; ++c) {
-    s += strfmt("\ncat%zu:", c);
-    for (const auto v : r.stats.counts[c]) {
-      s += strfmt(" %llu", static_cast<unsigned long long>(v));
-    }
-  }
-  return s;
-}
-
-mpism::RunOptions case_options(const ProgramCase& c) {
-  mpism::RunOptions options;
-  options.nprocs = c.nprocs;
-  options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
-  options.sched.seed = c.seed;
-  // Cycle the wildcard policies so every candidate-vector consumer runs.
-  switch (c.seed % 3) {
-    case 0: options.policy = mpism::PolicyKind::kLowestSource; break;
-    case 1: options.policy = mpism::PolicyKind::kFifoArrival; break;
-    default: options.policy = mpism::PolicyKind::kSeededRandom; break;
-  }
-  options.policy_seed = c.seed + 1;
-  return options;
-}
-
-// Randomized programs, each under its own coop-random dispatch seed:
-// match order depends on the seed, so only schedule-independent
-// invariants are checked — every run completes cleanly and sends exactly
-// the scripted messages. (Also the TSan workout for the matcher: label
-// `match` is in the tier-1 sanitizer sweep.)
-TEST(MatchDifferentialPrograms, ThreadSchedulerInvariantsAgree) {
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    ProgramCase c;
-    c.seed = seed * 2654435761u;
-    c.nprocs = 2 + static_cast<int>(seed % 4);  // 2..5
-    c.phases = 2;
-    c.messages_per_phase = 2 * c.nprocs;
-    const auto script = build_script(c);
-    std::uint64_t expected_messages = 0;
-    for (const auto& phase : script) expected_messages += phase.size();
-    const auto program = [&script, &c](mpism::Proc& p) {
-      run_script(p, script, c.seed + static_cast<std::uint64_t>(p.rank()));
-    };
-    const auto report = run_program(case_options(c), program);
-    ASSERT_TRUE(report.completed)
-        << "seed " << seed << ": " << report.deadlock_detail;
-    ASSERT_TRUE(report.errors.empty())
-        << "seed " << seed << ": " << report.errors[0].message;
-    EXPECT_EQ(report.messages_sent, expected_messages) << "seed " << seed;
-    EXPECT_EQ(report.comm_leaks, 0) << "seed " << seed;
-    EXPECT_EQ(report.request_leaks, 0u) << "seed " << seed;
-  }
-}
-
-// Deadlock verdicts: simple_deadlock deadlocks, and a rerun reproduces
-// the whole report (detail text included) bit for bit.
-TEST(MatchDifferentialPrograms, DeadlockVerdictParity) {
-  struct Pattern {
-    const char* name;
-    mpism::ProgramFn fn;
-    int nprocs;
-  };
-  const Pattern patterns[] = {
-      {"simple_deadlock", workloads::simple_deadlock, 2},
-      {"wildcard_dependent_deadlock",
-       workloads::wildcard_dependent_deadlock, 3},
-  };
-  for (const auto& pat : patterns) {
-    std::optional<std::string> first_fp;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      mpism::RunOptions options;
-      options.nprocs = pat.nprocs;
-      // Fifo-arrival, so the wildcard pattern's verdict depends only on
-      // arrival order, which the dispatcher fixes.
-      options.policy = mpism::PolicyKind::kFifoArrival;
-      const auto report = run_program(options, pat.fn);
-      if (std::string(pat.name) == "simple_deadlock") {
-        EXPECT_TRUE(report.deadlocked) << pat.name << " run " << attempt;
-      }
-      const std::string fp = fingerprint(report);
-      if (!first_fp.has_value()) {
-        first_fp = fp;
-      } else {
-        EXPECT_EQ(fp, *first_fp) << pat.name << ": rerun diverged";
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -14,7 +14,6 @@ using mpism::Bytes;
 using mpism::kAnySource;
 using mpism::kAnyTag;
 using mpism::pack;
-using mpism::PolicyKind;
 using mpism::RequestId;
 using mpism::Status;
 using mpism::unpack;
@@ -125,55 +124,36 @@ TEST(Pt2Pt, AnyTagReceivesInSendOrder) {
   EXPECT_TRUE(report.ok());
 }
 
-// Wildcard receive with the lowest-source policy deterministically picks
-// the smallest sender rank among queued candidates.
+// SELF_RUN's wildcard rule: a wildcard probe, iprobe or receive takes
+// the lowest queued source, whatever the arrival order, and the receive
+// after a probe returns the probed message. The senders are chained so
+// their messages reach rank 3 highest source first.
 TEST(Pt2Pt, WildcardLowestSourcePolicy) {
-  RunOptions opts;
-  opts.nprocs = 4;
-  opts.policy = PolicyKind::kLowestSource;
-  auto report = run_program(opts, [](Proc& p) {
+  auto report = run_program(4, [](Proc& p) {
     if (p.rank() == 3) {
       p.barrier();  // all senders have sent
       for (int i = 0; i < 3; ++i) {
+        const Status probed = p.probe(kAnySource, 5);
+        Status polled;
+        EXPECT_TRUE(p.iprobe(kAnySource, 5, &polled));
         Bytes data;
-        Status st = p.recv(kAnySource, 5, &data);
-        EXPECT_EQ(st.source, i);  // ascending source order
+        const Status st = p.recv(kAnySource, 5, &data);
+        EXPECT_EQ(probed.source, i);  // ascending source order
+        EXPECT_EQ(polled.source, i);
+        EXPECT_EQ(st.source, i);
+        EXPECT_EQ(st.msg_id, probed.msg_id);
+        EXPECT_EQ(st.msg_id, polled.msg_id);
         EXPECT_EQ(unpack<int>(data), i * 10);
       }
     } else {
+      // Rank 2 sends first; each lower rank waits for its neighbour.
+      if (p.rank() < 2) p.recv(p.rank() + 1, 9);
       p.send(3, 5, pack<int>(p.rank() * 10));
+      if (p.rank() > 0) p.send(p.rank() - 1, 9, pack<int>(0));
       p.barrier();
     }
   });
   EXPECT_TRUE(report.ok());
-}
-
-// Seeded random policy is reproducible: same seed -> same outcome order.
-TEST(Pt2Pt, SeededRandomPolicyReproducible) {
-  auto run_once = [](std::uint64_t seed) {
-    std::vector<int> order;
-    RunOptions opts;
-    opts.nprocs = 4;
-    opts.policy = PolicyKind::kSeededRandom;
-    opts.policy_seed = seed;
-    auto report = run_program(opts, [&order](Proc& p) {
-      if (p.rank() == 3) {
-        p.barrier();
-        for (int i = 0; i < 3; ++i) {
-          Status st = p.recv(kAnySource, 5);
-          order.push_back(st.source);
-        }
-      } else {
-        p.send(3, 5, pack<int>(0));
-        p.barrier();
-      }
-    });
-    EXPECT_TRUE(report.ok());
-    return order;
-  };
-  const auto a = run_once(11);
-  const auto b = run_once(11);
-  EXPECT_EQ(a, b);
 }
 
 TEST(Pt2Pt, WaitallCompletesEverything) {

@@ -305,12 +305,12 @@ void expect_every_scheduler_reaches(const core::ExplorerOptions& options,
   }
 }
 
-TEST(SchedDifferential, CoopThreadOracleAgreeOnFig3) {
+TEST(SchedDifferential, DispatchPoliciesMatchOracleOnFig3) {
   expect_every_scheduler_reaches(explorer_options(3), workloads::fig3_benign,
                                  2);
 }
 
-TEST(SchedDifferential, CoopThreadOracleAgreeOnFig4VectorClocks) {
+TEST(SchedDifferential, DispatchPoliciesMatchOracleOnFig4VectorClocks) {
   core::ExplorerOptions options = explorer_options(4);
   options.clock_mode = core::ClockMode::kVector;
   expect_every_scheduler_reaches(options, workloads::fig4_cross_coupled, 3);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
 #include "support/run_helpers.hpp"
@@ -437,6 +438,54 @@ TEST(SweepFingerprint, CoversPlanShapingKnobsAndIgnoresExecutionKnobs) {
   changed.max_plan_respawns = 9;
   changed.plan_wall_seconds = 1.0;
   EXPECT_EQ(sweep::sweep_fingerprint(changed), fp);
+}
+
+// Golden text of both fingerprints. `--checkpoint` and sweep journals
+// record them and `--resume` compares them byte for byte, as does a
+// distributed worker's HELLO, so any change to the text refuses every
+// existing journal and every worker of an older build. Pinned for the
+// defaults and for one configuration that moves clocks, mixing, POR, the
+// fault plan and the sweep knobs.
+TEST(SweepFingerprint, GoldenTextForDefaultAndNonDefaultOptions) {
+  SweepOptions defaults;
+  const std::string default_options =
+      "nprocs=2 clock=0 transport=0 mix=none loopabs=1 unsafe=1 autoloop=0 "
+      "defsync=0 sched=coop-rr schedseed=1 por=sleep policy=0 pseed=1 "
+      "init=14650fb0739d0383";
+  EXPECT_EQ(core::options_fingerprint(defaults.explorer),
+            default_options + " fault=none");
+  EXPECT_EQ(sweep::sweep_fingerprint(defaults),
+            default_options +
+                " fault=none sweep budget=64 seed=1 "
+                "kinds=abort,delay,error,flaky delays=8 flakys=8 planil=256 "
+                "planops=1048576");
+
+  SweepOptions tuned;
+  tuned.program_name = "fig4";
+  tuned.budget = 7;
+  tuned.seed = 3;
+  tuned.kinds = SweepKinds{true, true, false, false};
+  tuned.plan_max_interleavings = 16;
+  tuned.explorer.nprocs = 4;
+  tuned.explorer.clock_mode = core::ClockMode::kVector;
+  tuned.explorer.mixing_bound = 2;
+  tuned.explorer.por = core::PorMode::kOff;
+  tuned.explorer.checkpoint_tag = "fig4";
+  std::string error;
+  tuned.explorer.fault =
+      mpism::parse_fault_plan("flaky@2:3:2,abort@1:4,delay@0:2:50", &error);
+  ASSERT_NE(tuned.explorer.fault, nullptr) << error;
+  const std::string tuned_options =
+      "nprocs=4 clock=1 transport=0 mix=2 loopabs=1 unsafe=1 autoloop=0 "
+      "defsync=0 sched=coop-rr schedseed=1 por=off policy=0 pseed=1 "
+      "init=14650fb0739d0383";
+  EXPECT_EQ(core::options_fingerprint(tuned.explorer),
+            tuned_options +
+                " fault=delay@0:2:50,abort@1:4,flaky@2:3:2 tag=fig4");
+  EXPECT_EQ(sweep::sweep_fingerprint(tuned),
+            tuned_options +
+                " fault=none tag=fig4 sweep budget=7 seed=3 kinds=abort,error "
+                "delays=8 flakys=8 planil=16 planops=1048576");
 }
 
 // --- Whole-sweep contracts -------------------------------------------------
